@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import GpglError
 from .graph import Graph
 from .layout import GridLayout, LayoutDiagnostics, LayoutParams, layout_graph
@@ -83,7 +81,7 @@ def _run_once(g: Graph, p: LayoutParams, seed: int) -> AugmentedLayout:
     for attempt_seed in (seed, seed + _RETRY_OFFSET):
         try:
             grid, diag = layout_graph(g, replace(p, seed=attempt_seed))
-        except (GpglError, np.linalg.LinAlgError) as exc:
+        except GpglError as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             continue
         return AugmentedLayout(seed=attempt_seed, grid=grid, diagnostics=diag)

@@ -5,10 +5,21 @@ distances track graph hop distances (Kamada-Kawai stress), with a hinge
 penalty that pushes every vertex pair at least ``alpha`` apart so that
 rounding to integer cells keeps vertices distinct. The discrete stage
 rounds the optimized coordinates to the grid.
+
+One pair kernel (``_PairKernel``, built once per vertex count) holds the
+loss and its gradient. It works on the unordered pairs i < j: a
+candidate's pair distances are computed once, checked for coincident
+pairs (distance exactly 0), and give both the stress and the penalty;
+the descent keeps the accepted candidate's distances and takes the next
+gradient from them. The losses sum over ordered pairs in row-major order
+by gathering the pair terms through a precomputed ordered-to-unordered
+index, and the gradient is formed from the full symmetric coefficient
+matrix, so every float equals that of a direct n x n evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -32,10 +43,6 @@ __all__ = [
     "gpgl_layout",
     "layout_graph",
 ]
-
-# Pairs closer than this are treated as coincident during optimization;
-# candidate steps that create one are rejected by the line search.
-_MIN_PAIR_DISTANCE = 1e-9
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 30
@@ -179,19 +186,6 @@ class LayoutDiagnostics:
         }
 
 
-def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _check_no_coincident(dist: np.ndarray) -> None:
-    n = dist.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] == 0.0):
-        i, j = np.argwhere((dist == 0.0) & off)[0]
-        raise CoincidentVerticesError(f"vertices {i} and {j} coincide")
-
-
 def circular_init(n: int, seed: int) -> Layout:
     """Evenly spaced points on a circle, vertex order shuffled by seed.
 
@@ -211,6 +205,86 @@ def circular_init(n: int, seed: int) -> Layout:
     return Layout(points[perm])
 
 
+@dataclass(frozen=True, eq=False)
+class _PairKernel:
+    """The layout loss and its gradient over the unordered pairs i < j.
+
+    ``i`` and ``j`` list the pairs in row-major order. ``ordered`` maps
+    each ordered pair (row-major over the off-diagonal) to its unordered
+    index. ``upper`` and ``lower`` are the flat n x n positions of (i, j)
+    and (j, i).
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    ordered: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+    def pair_values(self, matrix: np.ndarray) -> np.ndarray:
+        """Entries (i, j) of a symmetric matrix, as floats."""
+        return matrix[self.i, self.j].astype(np.float64)
+
+    def distances(self, coords: np.ndarray) -> np.ndarray:
+        x, y = coords[:, 0], coords[:, 1]
+        dx = x[self.i] - x[self.j]
+        dy = y[self.i] - y[self.j]
+        return np.sqrt(dx * dx + dy * dy)
+
+    def check_separated(self, dist: np.ndarray) -> None:
+        """Raise on a pair at distance exactly 0."""
+        if (dist == 0.0).any():
+            k = np.flatnonzero(dist == 0.0)[0]
+            raise CoincidentVerticesError(f"vertices {self.i[k]} and {self.j[k]} coincide")
+
+    def stress(self, dist: np.ndarray, hops: np.ndarray) -> float:
+        return float(0.5 * np.sum(((dist / hops - 1.0) ** 2)[self.ordered]))
+
+    def penalty(self, dist: np.ndarray, alpha: float, lam: float) -> float:
+        return float(lam * np.maximum(0.0, alpha / dist - 1.0)[self.ordered].sum())
+
+    def evaluate(
+        self, coords: np.ndarray, hops: np.ndarray, alpha: float, lam: float
+    ) -> tuple[float, float, float, np.ndarray]:
+        """(total, stress, penalty, distances); raises on coincident pairs."""
+        dist = self.distances(coords)
+        self.check_separated(dist)
+        kk = self.stress(dist, hops)
+        sep = self.penalty(dist, alpha, lam) if lam > 0.0 else 0.0
+        return kk + sep, kk, sep, dist
+
+    def gradient(
+        self, coords: np.ndarray, dist: np.ndarray, hops: np.ndarray, alpha: float, lam: float
+    ) -> np.ndarray:
+        """Exact gradient of ``evaluate``'s total at ``coords``.
+
+        Ordered-pair summation doubles each unordered pair, so the gradient
+        of the pair (i, j) term lands on both endpoints with factor 2. The
+        hinge uses the one-sided zero derivative at ``d_ij >= alpha``.
+        """
+        pair_coef = 2.0 * (dist / hops - 1.0) / (hops * dist)
+        if lam > 0.0:
+            active = dist < alpha
+            pair_coef[active] -= 2.0 * lam * alpha / dist[active] ** 3
+        n = coords.shape[0]
+        coef = np.zeros(n * n)
+        coef[self.upper] = pair_coef
+        coef[self.lower] = pair_coef
+        coef = coef.reshape(n, n)
+        return coef.sum(axis=1)[:, None] * coords - coef @ coords
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_kernel(n: int) -> _PairKernel:
+    i, j = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    kernel = _PairKernel(i, j, index[~np.eye(n, dtype=bool)], i * n + j, j * n + i)
+    for arr in (kernel.i, kernel.j, kernel.ordered, kernel.upper, kernel.lower):
+        arr.setflags(write=False)
+    return kernel
+
+
 def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     """Stress of a layout against graph distances.
 
@@ -218,15 +292,12 @@ def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     unordered pair contributes twice. Zero exactly when every Euclidean
     distance matches its hop distance.
     """
-    coords = layout.coords
     if layout.n != s.n:
         raise ValueError(f"layout has {layout.n} vertices, distances have {s.n}")
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
-    dist = _pairwise_distances(coords)
-    off = ~np.eye(layout.n, dtype=bool)
-    ratio = dist[off] / s.d[off]
-    return float(0.5 * np.sum((ratio - 1.0) ** 2))
+    kernel = _pair_kernel(layout.n)
+    return kernel.stress(kernel.distances(layout.coords), kernel.pair_values(s.d))
 
 
 def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
@@ -238,56 +309,10 @@ def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
     """
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
-    dist = _pairwise_distances(layout.coords)
-    _check_no_coincident(dist)
-    off = ~np.eye(layout.n, dtype=bool)
-    hinge = np.maximum(0.0, alpha / dist[off] - 1.0)
-    return float(lam * hinge.sum())
-
-
-def _values(
-    coords: np.ndarray, s: np.ndarray, alpha: float, lam: float
-) -> tuple[float, float, float]:
-    """(total, stress, penalty) at ``coords``; raises on coincident pairs."""
-    dist = _pairwise_distances(coords)
-    _check_no_coincident(dist)
-    n = coords.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    ratio = dist[off] / s[off]
-    kk = float(0.5 * np.sum((ratio - 1.0) ** 2))
-    sep = float(lam * np.maximum(0.0, alpha / dist[off] - 1.0).sum())
-    return kk + sep, kk, sep
-
-
-def _loss_and_grad(
-    coords: np.ndarray, s: np.ndarray, alpha: float, lam: float
-) -> tuple[float, np.ndarray, float, float]:
-    """Loss value and its exact gradient with respect to every coordinate.
-
-    Ordered-pair summation doubles each unordered pair, so the gradient of
-    the pair (i, j) term lands on both endpoints with factor 2. The hinge
-    uses the one-sided zero derivative at ``d_ij >= alpha``.
-    """
-    n = coords.shape[0]
-    dist = _pairwise_distances(coords)
-    _check_no_coincident(dist)
-    off = ~np.eye(n, dtype=bool)
-
-    ratio = np.zeros_like(dist)
-    ratio[off] = dist[off] / s[off]
-    kk = float(0.5 * np.sum((ratio[off] - 1.0) ** 2))
-
-    coef = np.zeros_like(dist)
-    coef[off] = 2.0 * (ratio[off] - 1.0) / (s[off] * dist[off])
-
-    sep = 0.0
-    if lam > 0.0:
-        active = off & (dist < alpha)
-        sep = float(lam * np.maximum(0.0, alpha / dist[off] - 1.0).sum())
-        coef[active] -= 2.0 * lam * alpha / dist[active] ** 3
-
-    grad = coef.sum(axis=1)[:, None] * coords - coef @ coords
-    return kk + sep, grad, kk, sep
+    kernel = _pair_kernel(layout.n)
+    dist = kernel.distances(layout.coords)
+    kernel.check_separated(dist)
+    return kernel.penalty(dist, alpha, lam)
 
 
 @dataclass
@@ -307,8 +332,11 @@ def _descend(
     Returns the best iterate seen, so the reported loss never exceeds the
     starting loss even when fallback steps wander uphill.
     """
+    kernel = _pair_kernel(coords0.shape[0])
+    hops = kernel.pair_values(s)
     x = coords0.copy()
-    f, grad, kk, sep = _loss_and_grad(x, s, alpha, lam)
+    f, kk, sep, dist = kernel.evaluate(x, hops, alpha, lam)
+    grad = kernel.gradient(x, dist, hops, alpha, lam)
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         raise NonFiniteLossError(f"non-finite loss at initialization: {f}")
 
@@ -326,12 +354,10 @@ def _descend(
 
         t = step
         accepted = False
-        cand = x
-        f_c, kk_c, sep_c = f, kk, sep
         for _ in range(_MAX_BACKTRACKS):
             cand = x - t * grad
             try:
-                f_c, kk_c, sep_c = _values(cand, s, alpha, lam)
+                f_c, kk_c, sep_c, dist_c = kernel.evaluate(cand, hops, alpha, lam)
             except CoincidentVerticesError:
                 t *= 0.5
                 continue
@@ -348,7 +374,7 @@ def _descend(
             t = _FALLBACK_DISPLACEMENT / gmax
             cand = x - t * grad
             try:
-                f_c, kk_c, sep_c = _values(cand, s, alpha, lam)
+                f_c, kk_c, sep_c, dist_c = kernel.evaluate(cand, hops, alpha, lam)
             except CoincidentVerticesError:
                 break
             step = max(t * 2.0, _FALLBACK_DISPLACEMENT)
@@ -358,7 +384,7 @@ def _descend(
         else:
             stalled = 0
 
-        x, f, kk, sep = cand, f_c, kk_c, sep_c
+        x, f, kk, sep, dist = cand, f_c, kk_c, sep_c, dist_c
         stats.iterations += 1
         if not np.isfinite(f):
             raise NonFiniteLossError(f"loss diverged to {f}")
@@ -367,7 +393,7 @@ def _descend(
             best.loss, best.kk, best.sep = f, kk, sep
         if stalled >= _STALL_LIMIT:
             break
-        f, grad, kk, sep = _loss_and_grad(x, s, alpha, lam)
+        grad = kernel.gradient(x, dist, hops, alpha, lam)
 
     stats.loss, stats.kk, stats.sep = best.loss, best.kk, best.sep
     return best_x, stats
@@ -433,8 +459,10 @@ def gpgl_loss_and_grad(
         raise ValueError(f"layout has {layout.n} vertices, distances have {s.n}")
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
-    f, grad, _, _ = _loss_and_grad(layout.coords, s.d, p.alpha, p.lam)
-    return f, grad
+    kernel = _pair_kernel(layout.n)
+    hops = kernel.pair_values(s.d)
+    f, _, _, dist = kernel.evaluate(layout.coords, hops, p.alpha, p.lam)
+    return f, kernel.gradient(layout.coords, dist, hops, p.alpha, p.lam)
 
 
 def rescale_layout(layout: Layout, p: LayoutParams) -> Layout:
@@ -446,9 +474,8 @@ def rescale_layout(layout: Layout, p: LayoutParams) -> Layout:
     """
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
-    dist = _pairwise_distances(layout.coords)
-    off = ~np.eye(layout.n, dtype=bool)
-    beta = max(p.gamma, float(dist[off].min()))
+    dist = _pair_kernel(layout.n).distances(layout.coords)
+    beta = max(p.gamma, float(dist.min()))
     if beta == 0.0:
         return layout
     scale = max(1.0, p.alpha / beta)

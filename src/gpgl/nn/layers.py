@@ -1,7 +1,9 @@
 """Layer objects wiring the ops into a trainable stack.
 
-Each layer caches what its backward pass needs during forward and
-releases the cache afterwards. Parameters use assignment semantics:
+Each layer caches what its backward pass needs during a forward pass
+with ``train=True`` and releases the cache afterwards; a forward pass
+with ``train=False`` keeps nothing, so inference holds no im2col
+matrices between layers. Parameters use assignment semantics:
 backward overwrites ``Param.grad``, it does not accumulate.
 """
 
@@ -59,7 +61,7 @@ class Conv3x3:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         out, cols = ops.conv2d_forward(x, self.w.value, self.b.value)
-        self._cols = cols
+        self._cols = cols if train else None
         self._x_shape = x.shape
         return out
 
@@ -115,7 +117,8 @@ class MsmConv:
             for conv in chain:
                 h = conv.forward(h, train)
             outs.append(h)
-        out, self._winner = ops.maxout_forward(np.stack(outs))
+        out, winner = ops.maxout_forward(np.stack(outs))
+        self._winner = winner if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -139,7 +142,8 @@ class MaxPool2:
         return []
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, self._idx = ops.maxpool2_forward(x)
+        out, idx = ops.maxpool2_forward(x)
+        self._idx = idx if train else None
         self._x_shape = x.shape
         return out
 
@@ -161,7 +165,8 @@ class GlobalPool:
         return []
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, self._cache = ops.global_pool_forward(x, self.mode)
+        out, cache = ops.global_pool_forward(x, self.mode)
+        self._cache = cache if train else None
         self._x_shape = x.shape
         return out
 
@@ -189,7 +194,8 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, self._x = ops.dense_forward(x, self.w.value, self.b.value)
+        out, cache = ops.dense_forward(x, self.w.value, self.b.value)
+        self._x = cache if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -206,7 +212,8 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, self._mask = ops.relu_forward(x)
+        out, mask = ops.relu_forward(x)
+        self._mask = mask if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

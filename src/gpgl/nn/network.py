@@ -108,9 +108,14 @@ class MsmCnn:
         return sum(p.value.size for p in self._params)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """Logits for a batch; ``train=True`` applies dropout and keeps the
+        layer caches ``backward`` needs, ``train=False`` does neither."""
+        return self._forward(x, dropout=train, cache=train)
+
+    def _forward(self, x: np.ndarray, dropout: bool, cache: bool) -> np.ndarray:
         h = np.asarray(x, dtype=self.dtype)
         for layer in self.layers:
-            h = layer.forward(h, train)
+            h = layer.forward(h, dropout if isinstance(layer, Dropout) else cache)
         return h
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
@@ -122,8 +127,12 @@ class MsmCnn:
     def loss_and_grad(
         self, x: np.ndarray, labels: np.ndarray, train: bool = True
     ) -> float:
-        """One forward/backward pass; gradients land in ``params()``."""
-        logits = self.forward(x, train=train)
+        """One forward/backward pass; gradients land in ``params()``.
+
+        ``train`` switches dropout; with ``train=False`` the gradients are
+        those of the inference-mode loss.
+        """
+        logits = self._forward(x, dropout=train, cache=True)
         loss, dlogits = ops.softmax_cross_entropy(logits, labels)
         self.backward(dlogits)
         return loss

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgl import (
     CoincidentVerticesError,
@@ -174,3 +176,85 @@ class TestGradient:
         s = all_ones_distances(2)
         _, grad = gpgl_loss_and_grad(lay, s, p)
         assert np.abs(grad).max() < p.grad_tol
+
+
+# Property tests: hypothesis-drawn layouts against the loop oracles. The
+# drawn layouts include pairs a tiny nonzero distance apart, where the
+# hinge term dwarfs every other term.
+
+ALPHA, LAM = 1.25, 1000.0
+
+coordinate = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+near_offset = st.floats(1e-9, 1e-4) | st.floats(-1e-4, -1e-9)
+
+
+@st.composite
+def graph_and_layout(draw, near_coincident: bool):
+    n = draw(st.integers(2, 10))
+    g = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    # On a 1e-9 grid: a squared difference below the smallest float (a
+    # difference under ~1e-162) would read as distance 0 to the library
+    # but not to the oracle's hypot.
+    coords = np.round(
+        np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))), 9
+    )
+    if near_coincident:
+        a, b = draw(st.permutations(range(n)))[:2]
+        coords[b] = coords[a] + np.array([draw(near_offset), draw(near_offset)])
+    return shortest_path_distances(g), coords
+
+
+def _has_coincident(coords: np.ndarray) -> bool:
+    diff = coords[:, None] - coords[None, :]
+    return bool(np.any(np.all(diff == 0.0, axis=2) & ~np.eye(len(coords), dtype=bool)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graph_and_layout(near_coincident=False) | graph_and_layout(near_coincident=True))
+def test_losses_match_loop_oracles(case):
+    s, coords = case
+    lay = Layout(coords)
+    expected_kk = kk_loss_loops(coords, s.d.astype(float))
+    assert kk_loss(lay, s) == pytest.approx(expected_kk, rel=1e-12, abs=1e-12)
+    if _has_coincident(coords):
+        # Stress accepts coincident vertices; the penalty has no value there.
+        with pytest.raises(CoincidentVerticesError):
+            separation_penalty(lay, ALPHA, LAM)
+        with pytest.raises(CoincidentVerticesError):
+            gpgl_loss_and_grad(lay, s, LayoutParams(alpha=ALPHA, lam=LAM))
+        return
+    expected_sep = separation_penalty_loops(coords, ALPHA, LAM)
+    assert separation_penalty(lay, ALPHA, LAM) == pytest.approx(expected_sep, rel=1e-12)
+    value, _ = gpgl_loss_and_grad(lay, s, LayoutParams(alpha=ALPHA, lam=LAM))
+    assert value == pytest.approx(expected_kk + expected_sep, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def separated_graph_and_layout(draw):
+    # Distinct lattice sites 0.7 apart plus jitter below 0.2: every pair
+    # stays at least 0.3 apart, so central differences stay accurate.
+    n = draw(st.integers(2, 8))
+    sites = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=n, max_size=n, unique=True))
+    jitter = st.floats(-0.2, 0.2, allow_nan=False)
+    coords = 0.7 * np.array(sites, dtype=float) + np.array(
+        draw(st.lists(st.tuples(jitter, jitter), min_size=n, max_size=n))
+    )
+    g = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return shortest_path_distances(g), coords, draw(st.sampled_from([0.0, LAM]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=separated_graph_and_layout())
+def test_gradient_matches_fd_of_loop_oracles(case):
+    s, coords, lam = case
+    dist = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
+    if np.any(np.abs(dist - ALPHA) < 1e-4):
+        return  # central differences straddle the hinge kink
+    hops = s.d.astype(float)
+
+    def oracle(c):
+        return kk_loss_loops(c, hops) + separation_penalty_loops(c, ALPHA, lam)
+
+    _, grad = gpgl_loss_and_grad(Layout(coords), s, LayoutParams(alpha=ALPHA, lam=lam))
+    fd = fd_gradient(oracle, coords, h=1e-6)
+    assert np.all(np.abs(grad - fd) <= 1e-5 * np.maximum(np.abs(fd), 1.0))

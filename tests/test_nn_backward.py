@@ -157,9 +157,12 @@ class TestOpGradients:
         assert _close(dlogits, _fd(value, logits))
 
 
-def _network_fd_check(model, x, labels, coords_per_block=None, h=1e-4, rel=1e-3):
-    """Compare analytic parameter gradients with central differences."""
-    model.loss_and_grad(x, labels, train=True)
+def _network_fd_check(
+    model, x, labels, coords_per_block=None, h=1e-4, rel=1e-3, train=True
+):
+    """Compare analytic parameter gradients with central differences of
+    the inference-mode loss."""
+    model.loss_and_grad(x, labels, train=train)
     analytic = model.get_flat_grads().copy()
     flat0 = model.get_flat_params().astype(np.float64)
 
@@ -223,6 +226,17 @@ class TestNetworkGradients:
         labels = np.array([0, 1])
         _network_fd_check(model, x, labels, coords_per_block=6)
 
+    def test_inference_mode_gradients_with_dropout_configured(self):
+        # train=False switches dropout off, so the gradients are exact
+        # for the deterministic inference-mode loss.
+        config = NetworkConfig(
+            conv_channels=(3,), fc_sizes=(6, 5), scales=2, dropout=0.5, seed=5
+        )
+        model = MsmCnn(in_channels=2, num_classes=2, config=config, dtype=np.float64)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 8, 8, 2))
+        _network_fd_check(model, x, np.array([1, 0, 1]), train=False)
+
     def test_zero_signal_zero_gradients(self):
         # All-zero parameters give uniform outputs; balanced labels then
         # cancel every gradient exactly.
@@ -278,3 +292,41 @@ class TestParamsAndCheckpoints:
         model.save(a, epoch=1)
         model.save(b, epoch=1)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _cached_arrays(layer) -> list[str]:
+    """Names of the arrays a layer (or any conv in its branches) holds
+    besides its parameters."""
+    held = [
+        f"{type(layer).__name__}.{name}"
+        for name, value in vars(layer).items()
+        if name.startswith("_") and isinstance(value, np.ndarray)
+    ]
+    for chain in getattr(layer, "branches", []):
+        for conv in chain:
+            held += _cached_arrays(conv)
+    return held
+
+
+class TestInferenceCaches:
+    def _model(self):
+        config = NetworkConfig(
+            conv_channels=(3, 4), fc_sizes=(6,), scales=2, dropout=0.3, seed=3
+        )
+        return MsmCnn(in_channels=2, num_classes=2, config=config)
+
+    def test_inference_forward_keeps_no_cache(self):
+        model = self._model()
+        x = np.random.default_rng(1).normal(size=(4, 8, 8, 2)).astype(np.float32)
+        model.forward(x, train=True)
+        assert any(_cached_arrays(layer) for layer in model.layers)
+        model.forward(x, train=False)
+        assert [a for layer in model.layers for a in _cached_arrays(layer)] == []
+
+    def test_inference_logits_match_training_pass_without_dropout(self):
+        config = NetworkConfig(
+            conv_channels=(3, 4), fc_sizes=(6,), scales=2, dropout=0.0, seed=3
+        )
+        model = MsmCnn(in_channels=2, num_classes=2, config=config)
+        x = np.random.default_rng(2).normal(size=(4, 8, 8, 2)).astype(np.float32)
+        assert np.array_equal(model.forward(x, train=False), model.forward(x, train=True))
