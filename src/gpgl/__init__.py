@@ -29,7 +29,6 @@ from .layout import (
     LayoutDiagnostics,
     LayoutParams,
     circular_init,
-    gpgl_layout,
     gpgl_loss_and_grad,
     kk_loss,
     layout_graph,
@@ -73,7 +72,6 @@ __all__ = [
     "LayoutDiagnostics",
     "LayoutParams",
     "circular_init",
-    "gpgl_layout",
     "gpgl_loss_and_grad",
     "kk_loss",
     "layout_graph",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands cover the full pipeline: layout and augment compute grid
-layouts for a dataset, export packs them into a tensor container, stats
-summarises a corpus, render draws layouts as SVG, train runs the
-cross-validated CNN, bench times the layout stage.
+Subcommands cover the full pipeline: augment computes k grid layouts per
+graph of a dataset (layout is augment with k = 1), export packs them
+into a tensor container, stats summarises a corpus, render draws layouts
+as SVG, train runs the cross-validated CNN.
 
 Artifact files are deterministic for fixed flags and inputs; run
 summaries that include wall time go to stdout only. Failures print one
@@ -18,16 +18,13 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .augment import AugmentedSet, augment
 from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, load_tudataset
 from .errors import GpglError
 from .graph import Graph
-from .grid import build_grid_tensor, vertex_loss_ratio
+from .grid import vertex_loss_ratio
 from .layout import LayoutParams, layout_graph
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
@@ -167,17 +164,6 @@ def _summary(sets: list[AugmentedSet], ds: GraphDataset, elapsed: float) -> dict
     }
 
 
-def _cmd_layout(args: argparse.Namespace) -> int:
-    ds = load_tudataset(args.dataset)
-    p = _params_from_args(args)
-    start = time.perf_counter()
-    sets = _augment_dataset(ds, p, 1, _resolve_jobs(args))
-    elapsed = time.perf_counter() - start
-    _write_run_files(Path(args.out), sets, p, 1)
-    print(_json_line(_summary(sets, ds, elapsed)))
-    return 0
-
-
 def _cmd_augment(args: argparse.Namespace) -> int:
     ds = load_tudataset(args.dataset)
     p = _params_from_args(args)
@@ -294,36 +280,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    ds = load_tudataset(args.dataset)
-    p = _params_from_args(args)
-    n = len(ds.graphs) if args.limit is None else min(args.limit, len(ds.graphs))
-    times = []
-    lost = 0
-    total = 0
-    for i in range(n):
-        start = time.perf_counter()
-        _, diag = layout_graph(ds.graphs[i], p)
-        times.append(time.perf_counter() - start)
-        lost += diag.lost_vertices
-        total += ds.graphs[i].num_vertices
-    arr = np.array(times)
-    print(
-        _json_line(
-            {
-                "dataset": ds.name,
-                "graphs": n,
-                "total_s": float(arr.sum()),
-                "mean_s": float(arr.mean()),
-                "median_s": float(np.median(arr)),
-                "p95_s": float(np.percentile(arr, 95)),
-                "vertex_loss_percent": 100.0 * lost / total,
-            }
-        )
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpgl",
@@ -336,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_layout.add_argument("--out", required=True, help="output directory")
     _add_layout_flags(p_layout)
     _add_jobs_flag(p_layout)
-    p_layout.set_defaults(func=_cmd_layout)
+    p_layout.set_defaults(func=_cmd_augment, k=1)
 
     p_aug = sub.add_parser("augment", help="k layouts per graph")
     p_aug.add_argument("--dataset", required=True)
@@ -390,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--patience", type=int, default=10)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.set_defaults(func=_cmd_train)
-
-    p_bench = sub.add_parser("bench", help="layout timing over a dataset")
-    p_bench.add_argument("--dataset", required=True)
-    p_bench.add_argument("--limit", type=int, default=None)
-    _add_layout_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -4,7 +4,8 @@ Reads the plain-text benchmark format in which a dataset directory
 ``DS/`` holds ``DS_A.txt`` (one ``u, v`` edge per line, vertices numbered
 1..N over the whole corpus), ``DS_graph_indicator.txt`` (graph id per
 vertex), ``DS_graph_labels.txt`` (class per graph) and optionally
-``DS_node_labels.txt`` / ``DS_node_attributes.txt``.
+``DS_node_labels.txt``. Other files, such as ``DS_node_attributes.txt``,
+are ignored.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class GraphDataset:
 
     ``labels`` are remapped to contiguous ``0..class_count-1`` in sorted
     order of the raw label values. ``node_labels`` holds the raw per-vertex
-    integer labels when the source provides them; ``node_attributes`` is a
-    pass-through of continuous per-vertex vectors, unused downstream.
+    integer labels when the source provides them.
     """
 
     name: str
@@ -50,7 +50,6 @@ class GraphDataset:
     labels: np.ndarray
     class_count: int
     node_labels: tuple[np.ndarray, ...] | None = None
-    node_attributes: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.graphs) == 0:
@@ -61,13 +60,12 @@ class GraphDataset:
             raise ValueError("class_count must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ValueError("labels must lie in [0, class_count)")
-        for field in (self.node_labels, self.node_attributes):
-            if field is not None:
-                if len(field) != len(self.graphs):
-                    raise ValueError("per-vertex data must have one entry per graph")
-                for g, arr in zip(self.graphs, field):
-                    if arr.shape[0] != g.num_vertices:
-                        raise ValueError("per-vertex data must match graph sizes")
+        if self.node_labels is not None:
+            if len(self.node_labels) != len(self.graphs):
+                raise ValueError("node_labels must have one entry per graph")
+            for g, arr in zip(self.graphs, self.node_labels):
+                if arr.shape[0] != g.num_vertices:
+                    raise ValueError("node_labels must match graph sizes")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -247,31 +245,6 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
             per_graph[gid - 1].append(value)
         node_labels = tuple(np.array(vals, dtype=np.int64) for vals in per_graph)
 
-    node_attributes = None
-    attrs_path = directory / f"{prefix}_node_attributes.txt"
-    if attrs_path.is_file():
-        rows = []
-        for i, text in enumerate(_read_lines(attrs_path)):
-            try:
-                rows.append([float(part) for part in text.split(",")])
-            except ValueError:
-                raise DatasetParseError(
-                    f"expected comma-separated floats, got {text.strip()!r}",
-                    path=str(attrs_path),
-                    line=i + 1,
-                ) from None
-        if len(rows) != num_nodes:
-            raise DatasetParseError(
-                f"{len(rows)} attribute rows for {num_nodes} vertices",
-                path=str(attrs_path),
-            )
-        per_graph_attrs: list[list[list[float]]] = [[] for _ in range(num_graphs)]
-        for row, gid in zip(rows, indicator):
-            per_graph_attrs[gid - 1].append(row)
-        node_attributes = tuple(
-            np.array(rows, dtype=np.float64) for rows in per_graph_attrs
-        )
-
     graphs = tuple(
         Graph.from_edges(sizes[i], edge_lists[i]) for i in range(num_graphs)
     )
@@ -281,7 +254,6 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
         labels=labels,
         class_count=len(classes),
         node_labels=node_labels,
-        node_attributes=node_attributes,
     )
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "rescale_layout",
     "minimize",
     "round_layout",
-    "gpgl_layout",
     "layout_graph",
 ]
 
@@ -535,17 +534,14 @@ def _round_best_phase(coords: np.ndarray) -> GridLayout:
     return best
 
 
-def gpgl_layout(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnostics]:
-    """Full layout pipeline for a connected graph.
+def _layout_connected(
+    g: Graph, p: LayoutParams
+) -> tuple[GridLayout, LayoutDiagnostics]:
+    """Layout pipeline for one connected component.
 
     Runs hop-distance computation, shuffled circular initialization, a
     stress-only descent, the optional rescale, the penalized descent, and
     rounding at the best grid phase.
-
-    Raises
-    ------
-    DisconnectedGraphError
-        If the graph has several components; see ``layout_graph``.
     """
     n = g.num_vertices
     if n == 1:
@@ -575,22 +571,19 @@ def gpgl_layout(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnostic
 def layout_graph(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnostics]:
     """Grid-lay any graph, connected or not.
 
-    A connected graph goes straight through ``gpgl_layout``. A graph with
-    several components lays each one out independently (same parameters
-    and seed) and packs the component layouts left to right, separated by
-    one empty column; losses and iteration counts are summed.
+    Each connected component is laid out independently (same parameters
+    and seed) and the component layouts are packed left to right,
+    separated by one empty column; losses and iteration counts are
+    summed. A connected graph is the one-component case.
     """
     comps = connected_components(g)
-    if len(comps) == 1:
-        return gpgl_layout(g, p)
-
     cells = np.zeros((g.num_vertices, 2), dtype=np.int64)
     col_offset = 0
     kk_total = sep_total = 0.0
     kk_iters = gp_iters = lost = 0
     converged = True
     for comp in comps:
-        grid, diag = gpgl_layout(comp.graph, p)
+        grid, diag = _layout_connected(comp.graph, p)
         placed = grid.cells.copy()
         placed[:, 1] += col_offset
         cells[comp.original_vertices] = placed

@@ -134,8 +134,12 @@ def evaluate(
     labels: np.ndarray,
     graph_ids: np.ndarray,
     batch_size: int = 32,
-) -> tuple[float, float, float, np.ndarray]:
-    """Returns (mean loss, layout accuracy, graph accuracy, predictions)."""
+) -> tuple[float, int, int, np.ndarray]:
+    """Returns (mean loss, layout hits, graph hits, predictions).
+
+    A layout hits when its prediction equals its label; a graph hits
+    when the majority vote of its layouts' predictions does.
+    """
     losses = []
     preds = []
     for start in range(0, tensors.shape[0], batch_size):
@@ -147,15 +151,13 @@ def evaluate(
         preds.append(logits.argmax(axis=1))
     preds = np.concatenate(preds)
     mean_loss = float(sum(losses) / tensors.shape[0])
-    layout_acc = float(np.mean(preds == labels))
-    correct = 0
-    unique = np.unique(graph_ids)
-    for gid in unique:
+    layout_hits = int(np.sum(preds == labels))
+    graph_hits = 0
+    for gid in np.unique(graph_ids):
         member = graph_ids == gid
         if majority_vote(preds[member]) == labels[member][0]:
-            correct += 1
-    graph_acc = correct / unique.size
-    return mean_loss, layout_acc, graph_acc, preds
+            graph_hits += 1
+    return mean_loss, layout_hits, graph_hits, preds
 
 
 def _train_one_fold(
@@ -210,19 +212,13 @@ def _train_one_fold(
             if stale >= config.patience:
                 break
     model.set_flat_params(best_params)
-    _, layout_acc, graph_acc, preds = evaluate(
+    _, layout_hits, graph_hits, _ = evaluate(
         model, tensors[test_idx], labels[test_idx], graph_ids[test_idx]
     )
-    layout_hits = int(np.sum(preds == labels[test_idx]))
-    graph_hits = 0
-    for gid in test_graphs:
-        member = graph_ids[test_idx] == gid
-        if majority_vote(preds[member]) == labels[test_idx][member][0]:
-            graph_hits += 1
     result = FoldResult(
         fold=fold,
-        layout_accuracy=layout_acc,
-        graph_accuracy=graph_acc,
+        layout_accuracy=layout_hits / test_idx.size,
+        graph_accuracy=graph_hits / test_graphs.size,
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,
@@ -254,6 +250,8 @@ def train(
         raise ValueError("tensors, labels and graph_ids must align")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
     folds = make_graph_folds(graph_ids, n_folds, config.seed)
     results = []
     for fold, test_graphs in enumerate(folds):

@@ -10,7 +10,8 @@ training stage can group layouts by source graph.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = [
 _ORDER = "row-major, channel-last"
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """Provenance of one tensor slot in a container."""
@@ -34,6 +39,9 @@ class ManifestEntry:
     graph_id: int
     layout_seed: int
     label: int
+
+
+_MANIFEST_FIELDS = {f.name for f in fields(ManifestEntry)}
 
 
 def write_container(path: str | Path, tensors: np.ndarray) -> None:
@@ -62,13 +70,18 @@ def read_container(path: str | Path) -> tuple[np.ndarray, dict]:
         line = fh.readline()
         payload = fh.read()
     header = json.loads(line.decode("ascii"))
+    if not isinstance(header, dict):
+        raise ValueError("container header must be a JSON object")
     for key in ("height", "width", "channels", "count", "dtype", "order"):
         if key not in header:
             raise ValueError(f"container header missing {key!r}")
+    for key in ("height", "width", "channels", "count"):
+        if not _is_int(header[key]) or header[key] < 0:
+            raise ValueError(f"container {key} must be a non-negative integer")
     if header["dtype"] != "f32":
         raise ValueError(f"unsupported dtype {header['dtype']!r}")
     shape = (header["count"], header["height"], header["width"], header["channels"])
-    expected = int(np.prod(shape)) * 4
+    expected = math.prod(shape) * 4
     if len(payload) != expected:
         raise ValueError(
             f"payload is {len(payload)} bytes, header implies {expected}"
@@ -87,5 +100,20 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Read a manifest; each entry must hold exactly the three integer
+    fields of ``ManifestEntry``."""
     doc = json.loads(Path(path).read_text())
-    return [ManifestEntry(**e) for e in doc["entries"]]
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("manifest must be a JSON object with an 'entries' list")
+    for i, e in enumerate(entries):
+        if (
+            not isinstance(e, dict)
+            or e.keys() != _MANIFEST_FIELDS
+            or not all(_is_int(v) for v in e.values())
+        ):
+            raise ValueError(
+                f"manifest entry {i} must have exactly the integer fields "
+                f"{sorted(_MANIFEST_FIELDS)}"
+            )
+    return [ManifestEntry(**e) for e in entries]

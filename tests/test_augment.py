@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cycle_graph, path_graph, random_connected_graph
 from gpgl.augment import AugmentedLayout, AugmentedSet, augment
-from gpgl.layout import GridLayout, LayoutParams, gpgl_layout
+from gpgl.layout import GridLayout, LayoutParams, layout_graph
 
 
 class TestAugment:
@@ -13,7 +13,7 @@ class TestAugment:
         g = cycle_graph(5)
         p = LayoutParams(seed=3)
         aug = augment(g, p, 1)
-        grid, diag = gpgl_layout(g, p)
+        grid, diag = layout_graph(g, p)
         assert aug.k == 1
         assert np.array_equal(aug.layouts[0].grid.cells, grid.cells)
         assert aug.layouts[0].diagnostics.total_loss == diag.total_loss

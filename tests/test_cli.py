@@ -8,7 +8,14 @@ import pytest
 
 from conftest import cycle_graph, path_graph, write_tu_dataset
 from gpgl.cli import main
-from gpgl.tensor_io import read_container, read_manifest
+from gpgl.tensor_io import (
+    ManifestEntry,
+    manifest_path_for,
+    read_container,
+    read_manifest,
+    write_container,
+    write_manifest,
+)
 
 
 @pytest.fixture
@@ -65,6 +72,15 @@ class TestLayoutCommand:
             outs.append(out)
         for fname in ("layouts.json", "diagnostics.jsonl"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_same_artifacts_as_augment_k1(self, cli_dataset, tmp_path, capsys):
+        flags = ["--dataset", str(cli_dataset), "--seed", "3"] + FAST
+        code, _, _ = run(capsys, ["layout", "--out", str(tmp_path / "l")] + flags)
+        assert code == 0
+        code, _, _ = run(capsys, ["augment", "-k", "1", "--out", str(tmp_path / "a")] + flags)
+        assert code == 0
+        for fname in ("layouts.json", "diagnostics.jsonl"):
+            assert (tmp_path / "l" / fname).read_bytes() == (tmp_path / "a" / fname).read_bytes()
 
     def test_parallel_jobs(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "par"
@@ -258,18 +274,6 @@ class TestTrainCommand:
         assert (ckpts / "fold1.ckpt").is_file()
 
 
-class TestBenchCommand:
-    def test_reports_timings(self, cli_dataset, capsys):
-        code, stdout, _ = run(
-            capsys, ["bench", "--dataset", str(cli_dataset), "--limit", "2"] + FAST
-        )
-        assert code == 0
-        doc = json.loads(stdout)
-        assert doc["graphs"] == 2
-        for key in ("total_s", "mean_s", "median_s", "p95_s", "vertex_loss_percent"):
-            assert key in doc
-
-
 class TestErrorHandling:
     def test_missing_dataset_is_json_error(self, tmp_path, capsys):
         code, stdout, stderr = run(
@@ -297,4 +301,44 @@ class TestErrorHandling:
             + FAST,
         )
         assert code == 1
+        assert json.loads(stderr)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"5",
+            b'{"channels":1,"count":-1,"dtype":"f32","height":2,"order":"","width":2}',
+            b'{"channels":1,"count":2,"dtype":"f32","height":"2","order":"","width":2}',
+            b'{"channels":true,"count":2,"dtype":"f32","height":2,"order":"","width":2}',
+        ],
+        ids=["int", "negative-count", "string-height", "bool-channels"],
+    )
+    def test_train_malformed_container_header(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.gt"
+        path.write_bytes(header + b"\n" + bytes(32))
+        write_manifest(manifest_path_for(path), [ManifestEntry(i, 0, i % 2) for i in range(2)])
+        code, stdout, stderr = run(capsys, ["train", "--tensors", str(path), "--folds", "2"])
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"graph_id": 0, "layout_seed": 0, "label": 0, "x": 1},
+            {"graph_id": 0, "layout_seed": 0},
+            {"graph_id": 0, "layout_seed": 0, "label": "0"},
+            {"graph_id": 0, "layout_seed": 0, "label": 0.5},
+            [0, 0, 0],
+        ],
+        ids=["extra-key", "missing-key", "string-label", "float-label", "list"],
+    )
+    def test_train_malformed_manifest_entry(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.gt"
+        write_container(path, np.zeros((2, 2, 2, 1), dtype=np.float32))
+        good = {"graph_id": 1, "layout_seed": 0, "label": 1}
+        manifest_path_for(path).write_text(json.dumps({"entries": [entry, good]}))
+        code, stdout, stderr = run(capsys, ["train", "--tensors", str(path), "--folds", "2"])
+        assert code == 1
+        assert stdout == ""
         assert json.loads(stderr)["error"] == "ValueError"

@@ -99,12 +99,11 @@ class TestLoadTudataset:
         with pytest.raises(DatasetParseError, match="_A.txt"):
             load_tudataset(empty)
 
-    def test_node_attributes_pass_through(self, tmp_path):
+    def test_node_attributes_file_ignored(self, tmp_path):
         d = write_tu_dataset(tmp_path, "ATTR", [path_graph(2)], [0])
-        (d / "ATTR_node_attributes.txt").write_text("1.0, 2.0\n3.5, -1.0\n")
+        (d / "ATTR_node_attributes.txt").write_text("not, floats\n")
         ds = load_tudataset(d)
-        assert ds.node_attributes is not None
-        assert np.allclose(ds.node_attributes[0], [[1.0, 2.0], [3.5, -1.0]])
+        assert ds.graphs[0].num_vertices == 2
 
 
 class TestFeaturize:

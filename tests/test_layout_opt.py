@@ -2,18 +2,20 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
-from gpgl.errors import DisconnectedGraphError
+from gpgl.errors import GpglError
 from gpgl.graph import Graph, shortest_path_distances
 from gpgl.layout import (
     GridLayout,
     Layout,
     LayoutParams,
     circular_init,
-    gpgl_layout,
     gpgl_loss_and_grad,
     layout_graph,
     minimize,
@@ -189,22 +191,24 @@ class TestMinimize:
 
 
 class TestGpglLayout:
+    """The per-component pipeline, on connected graphs."""
+
     def test_single_vertex(self):
-        grid, diag = gpgl_layout(Graph(1, ()), LayoutParams())
+        grid, diag = layout_graph(Graph(1, ()), LayoutParams())
         assert np.array_equal(grid.cells, np.array([[0, 0]]))
         assert diag.lost_vertices == 0
         assert diag.converged
         assert diag.total_loss == 0.0
 
     def test_edge_graph_adjacent_cells(self):
-        grid, diag = gpgl_layout(path_graph(2), LayoutParams())
+        grid, diag = layout_graph(path_graph(2), LayoutParams())
         assert len(grid.occupied_cells()) == 2
         dr, dc = np.abs(grid.cells[0] - grid.cells[1])
         assert max(dr, dc) == 1
         assert diag.lost_vertices == 0
 
     def test_path_graph_no_loss(self):
-        grid, diag = gpgl_layout(path_graph(4), LayoutParams())
+        grid, diag = layout_graph(path_graph(4), LayoutParams())
         assert len(grid.occupied_cells()) == 4
         assert diag.lost_vertices == 0
         assert diag.total_loss == pytest.approx(diag.kk_loss + diag.separation_penalty)
@@ -216,31 +220,20 @@ class TestGpglLayout:
             g = complete_graph(n)
             bound = math.ceil(math.sqrt(n / math.pi)) + 1
             for seed in range(5):
-                grid, _ = gpgl_layout(g, LayoutParams(seed=seed))
+                grid, _ = layout_graph(g, LayoutParams(seed=seed))
                 assert len(grid.occupied_cells()) == n
                 cells = grid.cells.astype(float)
                 radius = np.linalg.norm(cells - cells.mean(axis=0), axis=1).max()
                 assert radius <= bound, f"K{n} seed {seed}: radius {radius:.3f}"
 
-    def test_rejects_disconnected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedGraphError):
-            gpgl_layout(g, LayoutParams())
-
     def test_deterministic(self):
         g = cycle_graph(6)
-        a, _ = gpgl_layout(g, LayoutParams(seed=2))
-        b, _ = gpgl_layout(g, LayoutParams(seed=2))
+        a, _ = layout_graph(g, LayoutParams(seed=2))
+        b, _ = layout_graph(g, LayoutParams(seed=2))
         assert np.array_equal(a.cells, b.cells)
 
 
 class TestLayoutGraph:
-    def test_connected_matches_gpgl_layout(self):
-        g = cycle_graph(5)
-        a, _ = layout_graph(g, LayoutParams(seed=1))
-        b, _ = gpgl_layout(g, LayoutParams(seed=1))
-        assert np.array_equal(a.cells, b.cells)
-
     def test_components_packed_with_gap_column(self):
         # Two triangles: the second component starts one empty column
         # after the first component's bounding box.
@@ -264,11 +257,36 @@ class TestLayoutGraph:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         _, whole = layout_graph(g, LayoutParams())
         part = Graph.from_edges(3, [(0, 1), (1, 2)])
-        _, single = gpgl_layout(part, LayoutParams())
+        _, single = layout_graph(part, LayoutParams())
         assert whole.kk_loss == pytest.approx(2 * single.kk_loss, rel=1e-12)
         assert whole.separation_penalty == pytest.approx(
             2 * single.separation_penalty, rel=1e-12
         )
+
+
+@st.composite
+def small_graph(draw):
+    """1-12 vertices with any edge set: isolated vertices and several
+    components included."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=small_graph(), seed=st.integers(0, 1000))
+def test_layout_graph_any_small_graph(g, seed):
+    try:
+        grid, diag = layout_graph(g, LayoutParams(max_iters=60, seed=seed))
+    except GpglError:
+        return
+    assert grid.cells.shape == (g.num_vertices, 2)
+    assert np.array_equal(grid.cells.min(axis=0), [0, 0])
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.num_vertices))
+    nxg.add_edges_from(g.edges)
+    assert diag.components == nx.number_connected_components(nxg)
 
 
 class TestGridLayoutType:
