@@ -22,7 +22,7 @@ from .errors import (
     WindowOverflowError,
 )
 from .graph import Graph, connected_components, shortest_path_distances
-from .grid import GridTensor, VertexLossReport, build_grid_tensor, vertex_loss_ratio
+from .grid import build_grid_tensor
 from .layout import (
     GridLayout,
     Layout,
@@ -63,10 +63,7 @@ __all__ = [
     "Graph",
     "connected_components",
     "shortest_path_distances",
-    "GridTensor",
-    "VertexLossReport",
     "build_grid_tensor",
-    "vertex_loss_ratio",
     "GridLayout",
     "Layout",
     "LayoutDiagnostics",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,6 @@ from .augment import AugmentedSet, augment
 from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, load_tudataset
 from .errors import GpglError
 from .graph import Graph
-from .grid import vertex_loss_ratio
 from .layout import LayoutParams, layout_graph
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
@@ -39,27 +37,26 @@ def _json_line(obj: dict) -> str:
 
 
 def _add_layout_flags(parser: argparse.ArgumentParser) -> None:
+    d = LayoutParams()
     group = parser.add_argument_group("layout")
-    group.add_argument("--alpha", type=float, default=1.25, help="separation radius")
+    group.add_argument("--alpha", type=float, default=d.alpha, help="separation radius")
     group.add_argument(
-        "--lambda", dest="lam", type=float, default=1000.0, help="penalty weight"
+        "--lambda", dest="lam", type=float, default=d.lam, help="penalty weight"
     )
-    group.add_argument("--gamma", type=float, default=0.1, help="rescale floor")
+    group.add_argument("--gamma", type=float, default=d.gamma, help="rescale floor")
     group.add_argument(
-        "--rescale", action="store_true", help="rescale between the two stages"
+        "--rescale",
+        action="store_true",
+        default=d.enable_rescale,
+        help="rescale between the two stages",
     )
-    group.add_argument("--max-iters", type=int, default=2000)
-    group.add_argument("--grad-tol", type=float, default=1e-4)
-    group.add_argument("--seed", type=int, default=0)
+    group.add_argument("--max-iters", type=int, default=d.max_iters)
+    group.add_argument("--grad-tol", type=float, default=d.grad_tol)
+    group.add_argument("--seed", type=int, default=d.seed)
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: GPGL_JOBS env var, else 1)",
-    )
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
 def _params_from_args(args: argparse.Namespace) -> LayoutParams:
@@ -75,13 +72,9 @@ def _params_from_args(args: argparse.Namespace) -> LayoutParams:
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
-    if getattr(args, "jobs", None) is not None:
-        jobs = args.jobs
-    else:
-        jobs = int(os.environ.get("GPGL_JOBS", "1"))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _augment_job(task: tuple[int, Graph, LayoutParams, int]) -> AugmentedSet:
@@ -189,15 +182,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     sets = _augment_dataset(ds, p, args.k, _resolve_jobs(args))
     window = _parse_window(args.window)
-    entries, reports = export_tensors(
-        sets, ds, args.out, window=window, merge=args.merge
-    )
+    entries = export_tensors(sets, ds, args.out, window=window, merge=args.merge)
     elapsed = time.perf_counter() - start
     summary = _summary(sets, ds, elapsed)
     summary["tensors"] = len(entries)
     summary["container"] = str(args.out)
     summary["manifest"] = str(manifest_path_for(args.out))
-    summary["vertex_loss_percent"] = vertex_loss_ratio(reports)
     print(_json_line(summary))
     return 0
 
@@ -239,9 +229,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    tensors, labels, graph_ids = load_container_training_set(args.tensors)
-    config = NetworkConfig(
+def _config_from_args(args: argparse.Namespace) -> NetworkConfig:
+    return NetworkConfig(
         conv_channels=_parse_int_list(args.channels),
         fc_sizes=_parse_int_list(args.fc),
         scales=args.scales,
@@ -253,6 +242,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         patience=args.patience,
         seed=args.seed,
     )
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    tensors, labels, graph_ids = load_container_training_set(args.tensors)
+    config = _config_from_args(args)
     start = time.perf_counter()
     result = train(
         tensors,
@@ -335,16 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default=None, help="results JSON path")
     p_train.add_argument("--checkpoint-dir", default=None)
     p_train.add_argument("--folds", type=int, default=10)
-    p_train.add_argument("--channels", default="64,128,256")
-    p_train.add_argument("--fc", default="256,128")
-    p_train.add_argument("--scales", type=int, default=3)
-    p_train.add_argument("--global-pool", choices=("max", "mean"), default="max")
-    p_train.add_argument("--dropout", type=float, default=0.3)
-    p_train.add_argument("--lr", type=float, default=1e-4)
-    p_train.add_argument("--batch-size", type=int, default=10)
-    p_train.add_argument("--epochs", type=int, default=100)
-    p_train.add_argument("--patience", type=int, default=10)
-    p_train.add_argument("--seed", type=int, default=0)
+    net = NetworkConfig()
+    p_train.add_argument("--channels", default=",".join(map(str, net.conv_channels)))
+    p_train.add_argument("--fc", default=",".join(map(str, net.fc_sizes)))
+    p_train.add_argument("--scales", type=int, default=net.scales)
+    p_train.add_argument(
+        "--global-pool", choices=("max", "mean"), default=net.global_pool
+    )
+    p_train.add_argument("--dropout", type=float, default=net.dropout)
+    p_train.add_argument("--lr", type=float, default=net.learning_rate)
+    p_train.add_argument("--batch-size", type=int, default=net.batch_size)
+    p_train.add_argument("--epochs", type=int, default=net.epochs)
+    p_train.add_argument("--patience", type=int, default=net.patience)
+    p_train.add_argument("--seed", type=int, default=net.seed)
     p_train.set_defaults(func=_cmd_train)
 
     return parser

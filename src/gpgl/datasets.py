@@ -18,7 +18,7 @@ import numpy as np
 from .augment import AugmentedSet
 from .errors import DatasetParseError, MissingNodeLabelsError, WindowOverflowError
 from .graph import Graph
-from .grid import DEFAULT_WINDOW, VertexLossReport, build_grid_tensor
+from .grid import DEFAULT_WINDOW, build_grid_tensor
 from .tensor_io import ManifestEntry, manifest_path_for, write_container, write_manifest
 
 __all__ = [
@@ -261,6 +261,31 @@ def _corpus_max_degree(ds: GraphDataset) -> int:
     return max(int(g.degrees().max()) if g.num_vertices else 0 for g in ds.graphs)
 
 
+def _feature_columns(
+    ds: GraphDataset, mode: str, degree_cap: int
+) -> tuple[int, dict[int, int] | None]:
+    """Resolve ``mode`` to the corpus-wide feature width and, for label
+    features, the one-hot column of each vertex label (None for degree
+    features). See ``featurize`` for the modes."""
+    if mode == "auto":
+        mode = "one_hot_label" if ds.node_labels is not None else "one_hot_degree"
+    if mode == "one_hot_label":
+        if ds.node_labels is None:
+            raise MissingNodeLabelsError(
+                f"dataset {ds.name!r} has no vertex labels; "
+                "use mode 'one_hot_degree'"
+            )
+        vocab = sorted({int(v) for arr in ds.node_labels for v in arr})
+        return len(vocab), {v: i for i, v in enumerate(vocab)}
+    if mode == "one_hot_degree":
+        if degree_cap < 1:
+            raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
+        return min(_corpus_max_degree(ds) + 1, degree_cap), None
+    raise ValueError(
+        f"mode must be 'one_hot_label', 'one_hot_degree' or 'auto', got {mode!r}"
+    )
+
+
 def featurize(
     ds: GraphDataset, mode: str = "auto", degree_cap: int = DEGREE_CAP
 ) -> GraphDataset:
@@ -273,37 +298,17 @@ def featurize(
     The feature width is fixed across the corpus so every graph maps to
     the same tensor depth.
     """
-    if mode == "auto":
-        mode = "one_hot_label" if ds.node_labels is not None else "one_hot_degree"
-    if mode == "one_hot_label":
-        if ds.node_labels is None:
-            raise MissingNodeLabelsError(
-                f"dataset {ds.name!r} has no vertex labels; "
-                "use mode 'one_hot_degree'"
-            )
-        vocab = sorted({int(v) for arr in ds.node_labels for v in arr})
-        column = {v: i for i, v in enumerate(vocab)}
-        dim = len(vocab)
-        graphs = []
-        for g, arr in zip(ds.graphs, ds.node_labels):
-            feats = np.zeros((g.num_vertices, dim), dtype=np.float64)
-            for v, lab in enumerate(arr):
+    dim, column = _feature_columns(ds, mode, degree_cap)
+    graphs = []
+    for i, g in enumerate(ds.graphs):
+        feats = np.zeros((g.num_vertices, dim), dtype=np.float64)
+        if column is not None:
+            for v, lab in enumerate(ds.node_labels[i]):
                 feats[v, column[int(lab)]] = 1.0
-            graphs.append(g.with_features(feats))
-    elif mode == "one_hot_degree":
-        if degree_cap < 1:
-            raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
-        dim = min(_corpus_max_degree(ds) + 1, degree_cap)
-        graphs = []
-        for g in ds.graphs:
-            feats = np.zeros((g.num_vertices, dim), dtype=np.float64)
+        else:
             for v, deg in enumerate(g.degrees()):
                 feats[v, min(int(deg), dim - 1)] = 1.0
-            graphs.append(g.with_features(feats))
-    else:
-        raise ValueError(
-            f"mode must be 'one_hot_label', 'one_hot_degree' or 'auto', got {mode!r}"
-        )
+        graphs.append(g.with_features(feats))
     return replace(ds, graphs=tuple(graphs))
 
 
@@ -315,10 +320,8 @@ def dataset_stats(ds: GraphDataset) -> DatasetStats:
     avg_edges = float(edges.mean())
     if ds.graphs[0].features is not None:
         feature_dim = ds.graphs[0].features.shape[1]
-    elif ds.node_labels is not None:
-        feature_dim = len({int(v) for arr in ds.node_labels for v in arr})
     else:
-        feature_dim = min(_corpus_max_degree(ds) + 1, DEGREE_CAP)
+        feature_dim, _ = _feature_columns(ds, "auto", DEGREE_CAP)
     return DatasetStats(
         name=ds.name,
         num_graphs=len(ds.graphs),
@@ -337,13 +340,12 @@ def export_tensors(
     path: str | Path,
     window: tuple[int, int] = DEFAULT_WINDOW,
     merge: str = "average",
-) -> tuple[list[ManifestEntry], list[VertexLossReport]]:
+) -> list[ManifestEntry]:
     """Write the grid tensors of augmented layouts to a container.
 
     Failed layout runs are skipped, so the container count is the number
     of successful runs. The manifest sidecar is written next to the
-    container. Returns the manifest entries plus the per-layout vertex
-    loss reports.
+    container. Returns the manifest entries.
     """
     runs = [
         (s.graph_id, lay) for s in sets for lay in s.successful()
@@ -352,7 +354,6 @@ def export_tensors(
         raise ValueError("nothing to export: no successful layouts")
     tensors = []
     entries = []
-    reports = []
     for graph_id, lay in runs:
         g = ds.graphs[graph_id]
         if g.features is None:
@@ -360,13 +361,11 @@ def export_tensors(
                 f"graph {graph_id} has no features; run featurize first"
             )
         try:
-            tensor, report = build_grid_tensor(
-                lay.grid, g.features, window=window, merge=merge
+            tensors.append(
+                build_grid_tensor(lay.grid, g.features, window=window, merge=merge)
             )
         except WindowOverflowError as exc:
             raise WindowOverflowError(str(exc), graph_id=graph_id) from None
-        tensors.append(tensor.data)
-        reports.append(report)
         entries.append(
             ManifestEntry(
                 graph_id=graph_id,
@@ -376,4 +375,4 @@ def export_tensors(
         )
     write_container(path, np.stack(tensors))
     write_manifest(manifest_path_for(path), entries)
-    return entries, reports
+    return entries

@@ -3,81 +3,22 @@
 A grid layout plus per-vertex feature vectors becomes a fixed-size
 ``H x W x F`` volume: each vertex writes its feature vector into its
 cell, empty cells stay zero, and vertices that collided on one cell are
-merged by average or max pooling. The collision bookkeeping feeds the
-corpus-level vertex-loss statistics.
+merged by average or max pooling. How many vertices collided is counted
+once, by the layout's phase scan (``LayoutDiagnostics.lost_vertices``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WindowOverflowError
 from .layout import GridLayout
 
-__all__ = [
-    "GridTensor",
-    "VertexLossReport",
-    "build_grid_tensor",
-    "vertex_loss_ratio",
-    "DEFAULT_WINDOW",
-]
+__all__ = ["build_grid_tensor", "DEFAULT_WINDOW"]
 
 DEFAULT_WINDOW = (64, 64)
-
-
-@dataclass(frozen=True, eq=False)
-class GridTensor:
-    """``(H, W, F)`` float32 volume with an explicit occupancy mask.
-
-    ``occupancy[r, c]`` marks cells holding at least one vertex; it is
-    stored rather than inferred because a legitimate feature vector may
-    be all zeros.
-    """
-
-    data: np.ndarray
-    occupancy: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 3:
-            raise ValueError(f"data must be (H, W, F), got {self.data.shape}")
-        if self.occupancy.shape != self.data.shape[:2]:
-            raise ValueError("occupancy must match the spatial shape of data")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class VertexLossReport:
-    """How many vertices a layout lost to cell collisions.
-
-    ``merge_groups`` lists the vertex-index groups (size >= 2) that share
-    a cell; ``lost`` equals the sum of (group size - 1) over them.
-    """
-
-    graph_vertex_count: int
-    grid_cell_count: int
-    lost: int
-    merge_groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.lost != sum(len(g) - 1 for g in self.merge_groups):
-            raise ValueError("lost must equal sum of (group size - 1)")
-        if self.lost != self.graph_vertex_count - self.grid_cell_count:
-            raise ValueError("lost must equal vertex count minus cell count")
 
 
 def build_grid_tensor(
@@ -85,8 +26,8 @@ def build_grid_tensor(
     features: np.ndarray,
     window: tuple[int, int] = DEFAULT_WINDOW,
     merge: str = "average",
-) -> tuple[GridTensor, VertexLossReport]:
-    """Place vertex features on the grid window.
+) -> np.ndarray:
+    """Place vertex features on the grid window; return ``(H, W, F)`` float32.
 
     The layout is aligned to the top-left corner: layout cell (0, 0) is
     window cell (0, 0) and the rest of the window is zero-padded. When
@@ -98,7 +39,7 @@ def build_grid_tensor(
     WindowOverflowError
         If any cell falls outside the window. Overflow is an error rather
         than a silent crop; cropping would lose vertices without showing
-        up in the loss report.
+        up in the lost-vertex count.
     """
     if merge not in ("average", "max"):
         raise ValueError(f"merge must be 'average' or 'max', got {merge!r}")
@@ -119,30 +60,8 @@ def build_grid_tensor(
         by_cell[(int(r), int(c))].append(v)
 
     data = np.zeros((height, width, feats.shape[1]), dtype=np.float32)
-    occupancy = np.zeros((height, width), dtype=bool)
-    merge_groups: list[tuple[int, ...]] = []
-    for cell in sorted(by_cell):
-        members = by_cell[cell]
+    for (r, c), members in by_cell.items():
         group = feats[members]
         pooled = group.mean(axis=0) if merge == "average" else group.max(axis=0)
-        data[cell[0], cell[1]] = pooled.astype(np.float32)
-        occupancy[cell[0], cell[1]] = True
-        if len(members) > 1:
-            merge_groups.append(tuple(members))
-
-    report = VertexLossReport(
-        graph_vertex_count=gl.n,
-        grid_cell_count=len(by_cell),
-        lost=gl.n - len(by_cell),
-        merge_groups=tuple(merge_groups),
-    )
-    return GridTensor(data, occupancy), report
-
-
-def vertex_loss_ratio(reports: Sequence[VertexLossReport]) -> float:
-    """Corpus vertex-loss percentage: lost vertices over all vertices."""
-    if not reports:
-        raise ValueError("need at least one report")
-    lost = sum(r.lost for r in reports)
-    total = sum(r.graph_vertex_count for r in reports)
-    return 100.0 * lost / total
+        data[r, c] = pooled.astype(np.float32)
+    return data

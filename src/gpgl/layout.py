@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -496,42 +496,52 @@ def minimize(layout0: Layout, s: DistanceMatrix, p: LayoutParams) -> Layout:
     return Layout(coords)
 
 
+def _round_cells(coords: np.ndarray) -> np.ndarray:
+    """Round ``(..., n, 2)`` coordinates to integer cells, ties away from
+    zero, and shift each layout so its minimum cell is 0 on both axes."""
+    rounded = np.copysign(np.floor(np.abs(coords) + 0.5), coords).astype(np.int64)
+    return rounded - rounded.min(axis=-2, keepdims=True)
+
+
 def round_layout(layout: Layout) -> GridLayout:
     """Round coordinates to integer cells and shift the origin to zero.
 
     Ties at exactly .5 round away from zero. Distinct vertices may land on
     the same cell; collisions are preserved here and merged downstream.
     """
-    coords = layout.coords
-    rounded = np.copysign(np.floor(np.abs(coords) + 0.5), coords).astype(np.int64)
-    rounded -= rounded.min(axis=0)
-    return GridLayout(rounded)
+    return GridLayout(_round_cells(layout.coords))
 
 
-# Fractional offsets per axis tried when snapping the frame to the grid.
+# Fractional offsets per axis tried when snapping the frame to the grid,
+# as (x, y) shifts in scan order: y-major, x-minor.
 _PHASE_STEPS = 8
+_PHASE_OFFSETS = np.arange(_PHASE_STEPS) / _PHASE_STEPS
+_PHASE_SHIFTS = np.stack(
+    np.meshgrid(_PHASE_OFFSETS, _PHASE_OFFSETS), axis=-1
+).reshape(-1, 2)
 
 
-def _round_best_phase(coords: np.ndarray) -> GridLayout:
-    """Round at the best grid phase.
+def _round_best_phase(coords: np.ndarray) -> tuple[GridLayout, int]:
+    """Round at the best grid phase; return the grid and its lost vertices.
 
     The loss is translation invariant, so which fractional offset the
     integer grid sits at is a free choice; it decides how many vertices
-    collide per cell and how tight the frame is. Scan an 8x8 grid of
-    offsets and keep the first with (fewest collisions, smallest bounding
-    box). Deterministic via the fixed scan order.
+    collide per cell and how tight the frame is. All 8x8 offsets are
+    rounded at once and the first in scan order with (fewest collisions,
+    smallest bounding box) is kept; ``lexsort`` is stable, so ties keep
+    scan order. This is the one place that counts collisions.
     """
+    n = coords.shape[0]
     base = coords - coords.min(axis=0)
-    best: GridLayout | None = None
-    best_key: tuple[int, int] | None = None
-    for ty in np.arange(_PHASE_STEPS) / _PHASE_STEPS:
-        for tx in np.arange(_PHASE_STEPS) / _PHASE_STEPS:
-            grid = round_layout(Layout(base + np.array([tx, ty])))
-            rows, cols = grid.extent()
-            key = (coords.shape[0] - len(grid.occupied_cells()), rows * cols)
-            if best_key is None or key < best_key:
-                best, best_key = grid, key
-    return best
+    cells = _round_cells(base + _PHASE_SHIFTS[:, None, :])
+    extent = cells.max(axis=1) + 1
+    area = extent[:, 0] * extent[:, 1]
+    # One integer key per cell (row-major within each phase's box); the
+    # distinct keys of a phase are its occupied cells.
+    keys = np.sort(cells[..., 0] * extent[:, 1:] + cells[..., 1], axis=1)
+    lost = n - 1 - np.count_nonzero(np.diff(keys, axis=1), axis=1)
+    best = np.lexsort((area, lost))[0]
+    return GridLayout(cells[best]), int(lost[best])
 
 
 def _layout_connected(
@@ -555,8 +565,7 @@ def _layout_connected(
         kk_coords = rescale_layout(Layout(kk_coords), p).coords
     coords, gp_stats = _descend_polished(kk_coords, s.d, p.alpha, p.lam, p)
 
-    grid = _round_best_phase(coords)
-    lost = n - len(grid.occupied_cells())
+    grid, lost = _round_best_phase(coords)
     diag = LayoutDiagnostics(
         kk_loss=gp_stats.kk,
         separation_penalty=gp_stats.sep,

@@ -7,6 +7,8 @@ the library's optimized code paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -122,3 +124,37 @@ def global_pool_loops(x: np.ndarray, mode: str) -> np.ndarray:
             vals = [x[b_i, y, xq, ch] for y in range(h) for xq in range(w)]
             out[b_i, ch] = max(vals) if mode == "max" else sum(vals) / len(vals)
     return out
+
+
+def round_best_phase_loops(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """Best-phase rounding by scanning the 8x8 phases one at a time.
+
+    Each phase shifts the origin-anchored coordinates by (tx, ty) in
+    eighths (ty outer, tx inner), rounds every coordinate half away from
+    zero, moves the minimum cell to 0 per axis and counts the distinct
+    cells. The first phase with (fewest lost vertices, smallest bounding
+    box) wins. Returns its cells and lost-vertex count.
+    """
+    n = coords.shape[0]
+    lows = [min(float(coords[v, a]) for v in range(n)) for a in range(2)]
+    best_cells, best_key = None, None
+    for iy in range(8):
+        for ix in range(8):
+            shift = (ix / 8, iy / 8)
+            cells = []
+            for v in range(n):
+                cell = []
+                for a in range(2):
+                    x = (float(coords[v, a]) - lows[a]) + shift[a]
+                    cell.append(int(math.copysign(math.floor(abs(x) + 0.5), x)))
+                cells.append(cell)
+            for a in range(2):
+                low = min(cell[a] for cell in cells)
+                for cell in cells:
+                    cell[a] -= low
+            rows = max(cell[0] for cell in cells) + 1
+            cols = max(cell[1] for cell in cells) + 1
+            lost = n - len({(cell[0], cell[1]) for cell in cells})
+            if best_key is None or (lost, rows * cols) < best_key:
+                best_cells, best_key = cells, (lost, rows * cols)
+    return np.array(best_cells, dtype=np.int64), best_key[0]

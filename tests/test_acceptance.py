@@ -211,8 +211,7 @@ def test_criterion_08_determinism(tmp_path):
             grid, _ = layout_graph(g, LayoutParams(max_iters=80, seed=5))
             cells.append(grid.cells.tobytes())
             feats = np.eye(g.num_vertices, 4)[:, :4]
-            tensor, _ = build_grid_tensor(grid, feats, window=(16, 16))
-            tensors.append(tensor.data)
+            tensors.append(build_grid_tensor(grid, feats, window=(16, 16)))
         cell_bytes.append(b"".join(cells))
         path = tmp_path / f"run{run}.gt"
         write_container(path, np.stack(tensors))

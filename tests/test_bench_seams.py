@@ -1,8 +1,9 @@
 """The benchmark under ``perfbench/`` imports package names and wraps
 package functions where their callers look them up. This guard imports
-it and enters and leaves its instrumentation, so a rename or deletion
-that breaks the benchmark fails here in seconds. Nothing under
-``perfbench/`` is changed."""
+it and enters and leaves its instrumentation, and runs its stage-by-stage
+recomposition of ``layout_graph``, so a rename, a deletion or a drift in
+the layout stages that breaks the benchmark fails here in seconds.
+Nothing under ``perfbench/`` is changed."""
 
 from __future__ import annotations
 
@@ -10,7 +11,12 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gpgl.cli  # noqa: F401  (loads every module the seams live in)
+from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
+from gpgl.graph import Graph
+from gpgl.layout import LayoutParams, layout_graph
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +57,28 @@ def test_instrument_wraps_and_restores(monkeypatch):
     after = _package_attributes()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_recompose_matches_layout_graph(monkeypatch):
+    """The traced run re-lays each graph through the public stage
+    functions and its own copy of the phase scan; any drift between that
+    copy and ``layout_graph`` shows up as a mismatch."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+
+    two_components = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
+    cases = [
+        (path_graph(5), LayoutParams(max_iters=60, seed=0)),
+        (cycle_graph(6), LayoutParams(max_iters=60, seed=1)),
+        (random_connected_graph(9, np.random.default_rng(3)), LayoutParams(max_iters=60)),
+        # Two components and an isolated vertex, packed side by side.
+        (two_components, LayoutParams(max_iters=60, seed=2)),
+        # No separation penalty: vertices collide, so the scan's choice of
+        # (fewest lost vertices, then smallest area) decides the cells.
+        (complete_graph(8), LayoutParams(max_iters=60, lam=0.0)),
+    ]
+    calls = []
+    for g, p in cases:
+        grid, _ = layout_graph(g, p)
+        calls.append((g, p, grid.cells))
+    assert spans.recompose(spans.Tracer(), calls) == 0

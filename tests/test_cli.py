@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, path_graph, write_tu_dataset
-from gpgl.cli import main
+from gpgl.cli import _config_from_args, _params_from_args, build_parser, main
+from gpgl.layout import LayoutParams
+from gpgl.nn.network import NetworkConfig
 from gpgl.tensor_io import (
     ManifestEntry,
     manifest_path_for,
@@ -33,6 +35,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestDefaults:
+    """Flags left out take the library's defaults."""
+
+    @pytest.mark.parametrize("command", ["layout", "augment", "export", "render"])
+    def test_layout_flags(self, command):
+        args = build_parser().parse_args([command, "--dataset", "d", "--out", "o"])
+        assert _params_from_args(args) == LayoutParams()
+
+    def test_train_flags(self):
+        args = build_parser().parse_args(["train", "--tensors", "t"])
+        assert _config_from_args(args) == NetworkConfig()
 
 
 class TestLayoutCommand:
@@ -92,11 +107,10 @@ class TestLayoutCommand:
         assert code == 0
         assert json.loads(stdout)["graphs"] == 4
 
-    def test_jobs_env_rejected_when_invalid(self, cli_dataset, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GPGL_JOBS", "0")
+    def test_jobs_zero_rejected(self, cli_dataset, tmp_path, capsys):
         code, stdout, stderr = run(
             capsys,
-            ["layout", "--dataset", str(cli_dataset), "--out", str(tmp_path / "x")]
+            ["layout", "--dataset", str(cli_dataset), "--out", str(tmp_path / "x"), "--jobs", "0"]
             + FAST,
         )
         assert code == 1

@@ -183,6 +183,16 @@ class TestDatasetStats:
         assert stats.avg_degree == pytest.approx(3.5 / 4.0)
         assert stats.max_degree == 4
 
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_feature_dim_is_featurize_width(self, synth_dataset_dir, tmp_path, labelled):
+        if labelled:
+            ds = load_tudataset(synth_dataset_dir)
+        else:
+            graphs = [star_graph(300), path_graph(3)]
+            ds = load_tudataset(write_tu_dataset(tmp_path, "NOLAB", graphs, [0, 1]))
+        width = featurize(ds).graphs[0].features.shape[1]
+        assert dataset_stats(ds).feature_dim == width
+
     def test_to_dict_keys(self, synth_dataset_dir):
         doc = dataset_stats(load_tudataset(synth_dataset_dir)).to_dict()
         assert set(doc) == {
@@ -205,12 +215,11 @@ class TestExportTensors:
             for i, g in enumerate(ds.graphs[:4])
         ]
         out = tmp_path / "synth.gt"
-        entries, reports = export_tensors(sets, ds, out, window=(16, 16))
+        entries = export_tensors(sets, ds, out, window=(16, 16))
         tensors, header = read_container(out)
         assert header["count"] == len(entries) == 8
         assert tensors.shape == (8, 16, 16, 3)
         assert read_manifest(f"{out}.manifest.json") == entries
-        assert len(reports) == 8
         # Entry labels come from the dataset's remapped graph labels.
         for e in entries:
             assert e.label == int(ds.labels[e.graph_id])

@@ -1,16 +1,10 @@
-"""Tests for grid tensor construction and vertex-loss accounting."""
+"""Tests for grid tensor construction."""
 
 import numpy as np
 import pytest
 
 from gpgl.errors import WindowOverflowError
-from gpgl.grid import (
-    DEFAULT_WINDOW,
-    GridTensor,
-    VertexLossReport,
-    build_grid_tensor,
-    vertex_loss_ratio,
-)
+from gpgl.grid import DEFAULT_WINDOW, build_grid_tensor
 from gpgl.layout import GridLayout
 
 
@@ -22,52 +16,48 @@ class TestBuildGridTensor:
     def test_places_features_at_cells(self):
         gl = _layout([[0, 0], [2, 5]])
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-        tensor, report = build_grid_tensor(gl, feats, window=(8, 8))
-        assert tensor.data.shape == (8, 8, 2)
-        assert tensor.data.dtype == np.float32
-        assert np.allclose(tensor.data[0, 0], [1.0, 2.0])
-        assert np.allclose(tensor.data[2, 5], [3.0, 4.0])
-        assert report.lost == 0
-        assert report.merge_groups == ()
+        tensor = build_grid_tensor(gl, feats, window=(8, 8))
+        assert tensor.shape == (8, 8, 2)
+        assert tensor.dtype == np.float32
+        assert np.allclose(tensor[0, 0], [1.0, 2.0])
+        assert np.allclose(tensor[2, 5], [3.0, 4.0])
+        assert np.count_nonzero(tensor.any(axis=2)) == 2
 
     def test_default_window_shape(self):
         gl = _layout([[0, 0], [5, 5]])
         feats = np.ones((2, 7))
-        tensor, report = build_grid_tensor(gl, feats)
-        assert (tensor.height, tensor.width, tensor.channels) == (64, 64, 7)
+        tensor = build_grid_tensor(gl, feats)
+        assert tensor.shape == (64, 64, 7)
         assert DEFAULT_WINDOW == (64, 64)
-        assert tensor.occupancy.sum() == gl.n - report.lost
+        assert np.count_nonzero(tensor.any(axis=2)) == len(gl.occupied_cells())
 
     def test_merge_average(self):
         gl = _layout([[0, 0], [0, 0]])
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        tensor, report = build_grid_tensor(gl, feats, window=(4, 4), merge="average")
-        assert np.allclose(tensor.data[0, 0], [0.5, 0.5])
-        assert report.lost == 1
-        assert report.merge_groups == ((0, 1),)
+        tensor = build_grid_tensor(gl, feats, window=(4, 4), merge="average")
+        assert np.allclose(tensor[0, 0], [0.5, 0.5])
 
     def test_merge_max(self):
         gl = _layout([[0, 0], [0, 0]])
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        tensor, _ = build_grid_tensor(gl, feats, window=(4, 4), merge="max")
-        assert np.allclose(tensor.data[0, 0], [1.0, 1.0])
+        tensor = build_grid_tensor(gl, feats, window=(4, 4), merge="max")
+        assert np.allclose(tensor[0, 0], [1.0, 1.0])
 
     def test_average_is_exact_mean(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(4, 3))
         gl = _layout([[0, 0], [0, 0], [0, 0], [0, 0]])
-        tensor, report = build_grid_tensor(gl, feats, window=(4, 4))
-        assert np.allclose(tensor.data[0, 0], feats.mean(axis=0), atol=1e-6)
-        assert report.lost == 3
-        assert report.merge_groups == ((0, 1, 2, 3),)
+        tensor = build_grid_tensor(gl, feats, window=(4, 4))
+        assert np.allclose(tensor[0, 0], feats.mean(axis=0), atol=1e-6)
 
     def test_unoccupied_cells_zero(self):
         gl = _layout([[0, 0], [3, 3]])
         feats = np.ones((2, 2))
-        tensor, _ = build_grid_tensor(gl, feats, window=(6, 6))
-        mask = ~tensor.occupancy
-        assert np.all(tensor.data[mask] == 0.0)
-        assert tensor.occupancy.sum() == 2
+        tensor = build_grid_tensor(gl, feats, window=(6, 6))
+        mask = np.ones((6, 6), dtype=bool)
+        mask[0, 0] = mask[3, 3] = False
+        assert np.all(tensor[mask] == 0.0)
+        assert np.all(tensor[~mask] == 1.0)
 
     def test_occupied_at_most_vertex_count(self):
         rng = np.random.default_rng(13)
@@ -75,13 +65,13 @@ class TestBuildGridTensor:
             n = int(rng.integers(1, 12))
             cells = rng.integers(0, 5, size=(n, 2))
             cells -= cells.min(axis=0)
-            tensor, report = build_grid_tensor(
-                _layout(cells), rng.normal(size=(n, 4)), window=(8, 8)
+            # Positive features, so exactly the occupied cells are nonzero.
+            tensor = build_grid_tensor(
+                _layout(cells), rng.uniform(0.5, 1.0, size=(n, 4)), window=(8, 8)
             )
-            occupied = int(tensor.occupancy.sum())
+            occupied = np.count_nonzero(tensor.any(axis=2))
             assert occupied <= n
-            assert occupied + report.lost == n
-            assert report.grid_cell_count == occupied
+            assert occupied == len(_layout(cells).occupied_cells())
 
     def test_window_overflow(self):
         gl = _layout([[0, 0], [10, 0]])
@@ -90,8 +80,8 @@ class TestBuildGridTensor:
 
     def test_overflow_boundary_fits(self):
         gl = _layout([[0, 0], [9, 9]])
-        tensor, _ = build_grid_tensor(gl, np.ones((2, 1)), window=(10, 10))
-        assert tensor.data[9, 9, 0] == 1.0
+        tensor = build_grid_tensor(gl, np.ones((2, 1)), window=(10, 10))
+        assert tensor[9, 9, 0] == 1.0
 
     def test_rejects_bad_merge(self):
         gl = _layout([[0, 0]])
@@ -103,43 +93,3 @@ class TestBuildGridTensor:
         with pytest.raises(ValueError):
             build_grid_tensor(gl, np.ones((3, 2)), window=(4, 4))
 
-
-class TestVertexLossReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            VertexLossReport(10, 9, 2, ((0, 1),))
-        with pytest.raises(ValueError):
-            VertexLossReport(10, 8, 1, ((0, 1),))
-
-    def test_valid(self):
-        report = VertexLossReport(10, 8, 2, ((0, 1), (2, 3)))
-        assert report.lost == 2
-
-
-class TestVertexLossRatio:
-    def test_no_collisions_zero(self):
-        reports = [VertexLossReport(5, 5, 0, ()) for _ in range(3)]
-        assert vertex_loss_ratio(reports) == 0.0
-
-    def test_single_merge_ten_percent(self):
-        report = VertexLossReport(10, 9, 1, ((0, 1),))
-        assert vertex_loss_ratio([report]) == pytest.approx(10.0)
-
-    def test_pooled_over_corpus(self):
-        reports = [
-            VertexLossReport(10, 9, 1, ((0, 1),)),
-            VertexLossReport(30, 30, 0, ()),
-        ]
-        assert vertex_loss_ratio(reports) == pytest.approx(2.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vertex_loss_ratio([])
-
-
-class TestGridTensorType:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            GridTensor(np.zeros((4, 4)), np.zeros((4, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            GridTensor(np.zeros((4, 4, 2)), np.zeros((3, 4), dtype=bool))

@@ -15,6 +15,7 @@ from gpgl.layout import (
     GridLayout,
     Layout,
     LayoutParams,
+    _round_best_phase,
     circular_init,
     gpgl_loss_and_grad,
     layout_graph,
@@ -22,6 +23,7 @@ from gpgl.layout import (
     rescale_layout,
     round_layout,
 )
+from oracles import round_best_phase_loops
 
 
 class TestCircularInit:
@@ -124,6 +126,30 @@ class TestRoundLayout:
             coords = rng.uniform(-10.0, 10.0, size=(int(rng.integers(1, 9)), 2))
             grid = round_layout(Layout(coords))
             assert np.array_equal(grid.cells.min(axis=0), [0, 0])
+
+
+@st.composite
+def phase_coords(draw):
+    """1-16 points mixing arbitrary floats with multiples of 1/16, so some
+    phase shifts land exactly on .5 ties; points are drawn from a pool
+    with repetition, so coincident vertices occur. The span is small so
+    that phases trade collisions against area."""
+    coord = st.one_of(
+        st.floats(-3.0, 3.0, allow_nan=False),
+        st.integers(-48, 48).map(lambda k: k / 16),
+    )
+    pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=16))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=16))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coords=phase_coords())
+def test_round_best_phase_matches_loops(coords):
+    grid, lost = _round_best_phase(coords)
+    cells, lost_loops = round_best_phase_loops(coords)
+    assert np.array_equal(grid.cells, cells)
+    assert lost == lost_loops == coords.shape[0] - len(grid.occupied_cells())
 
 
 class TestMinimize:
@@ -287,6 +313,7 @@ def test_layout_graph_any_small_graph(g, seed):
     nxg.add_nodes_from(range(g.num_vertices))
     nxg.add_edges_from(g.edges)
     assert diag.components == nx.number_connected_components(nxg)
+    assert diag.lost_vertices == g.num_vertices - len(grid.occupied_cells())
 
 
 class TestGridLayoutType:
