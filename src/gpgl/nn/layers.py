@@ -1,10 +1,12 @@
 """Layer objects wiring the ops into a trainable stack.
 
 Each layer caches what its backward pass needs during a forward pass
-with ``train=True`` and releases the cache afterwards; a forward pass
-with ``train=False`` keeps nothing, so inference holds no im2col
-matrices between layers. Parameters use assignment semantics:
-backward overwrites ``Param.grad``, it does not accumulate.
+with ``train=True`` and releases the cache afterwards; no cache is
+larger than the layer's input. A convolution keeps its input and its
+backward rebuilds the 9x wider im2col matrix from it. A forward pass
+with ``train=False`` keeps nothing, and convolves in sample blocks whose
+im2col matrix stays under a fixed size. Parameters use assignment
+semantics: backward overwrites ``Param.grad``, it does not accumulate.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class Param:
         return f"Param({self.name}, shape={self.value.shape})"
 
 
+# Inference convolves at most this many im2col elements per matrix
+# product: 8192 rows of a 64-channel 3x3 im2col, 18 MiB in float32.
+_BLOCK_ELEMENTS = 8192 * 9 * 64
+
+
 class Conv3x3:
     """Single 3x3 same-padded convolution, Kaiming fan-in init."""
 
@@ -53,23 +60,36 @@ class Conv3x3:
         std = np.sqrt(2.0 / (9 * cin))
         self.w = Param(f"{name}.w", rng.normal(0.0, std, (3, 3, cin, cout)).astype(dtype))
         self.b = Param(f"{name}.b", np.zeros(cout, dtype=dtype))
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
+        self._x: np.ndarray | None = None
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, cols = ops.conv2d_forward(x, self.w.value, self.b.value)
-        self._cols = cols if train else None
-        self._x_shape = x.shape
+        self._x = x if train else None
+        n, h, wd, cin = x.shape
+        step = max(1, _BLOCK_ELEMENTS // (h * wd * 9 * cin))
+        if train or step >= n:
+            out, _ = ops.conv2d_forward(x, self.w.value, self.b.value)
+            return out
+        # Every block holds `step` samples, the last one overlapping its
+        # predecessor, so each product has over _BLOCK_ELEMENTS / 2
+        # multiply-adds per output column. OpenBLAS computes the rows of
+        # products that large the same way for any row count; only its
+        # small-matrix kernels would round differently.
+        out = np.empty((n, h, wd, self.b.value.size), np.result_type(x, self.w.value))
+        for start in range(0, n, step):
+            start = min(start, n - step)
+            block, _ = ops.conv2d_forward(x[start : start + step], self.w.value, self.b.value)
+            out[start : start + step] = block
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        cols = ops.im2col(self._x, self.w.value.shape[0])
         dx, self.w.grad, self.b.grad = ops.conv2d_backward(
-            dout, self._cols, self.w.value, self._x_shape
+            dout, cols, self.w.value, self._x.shape
         )
-        self._cols = None
+        self._x = None
         return dx
 
 
@@ -111,14 +131,14 @@ class MsmConv:
         return [p for chain in self.branches for conv in chain for p in conv.params()]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        # The first conv of every branch keeps the same input array.
         outs = []
         for chain in self.branches:
             h = x
             for conv in chain:
                 h = conv.forward(h, train)
             outs.append(h)
-        out, winner = ops.maxout_forward(np.stack(outs))
-        self._winner = winner if train else None
+        out, self._winner = ops.maxout_forward(outs, train)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..tensor_io import atomic_open
 from . import ops
 from .layers import Dense, Dropout, GlobalPool, MaxPool2, MsmConv, Param, ReLU
 
@@ -173,7 +174,7 @@ class MsmCnn:
             "epoch": epoch,
             "config": asdict(self.config),
         }
-        with open(path, "wb") as fh:
+        with atomic_open(path) as fh:
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
             fh.write(b"\n")
             for p in self._params:

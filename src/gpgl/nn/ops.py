@@ -3,7 +3,9 @@
 All image tensors are ``(N, H, W, C)`` with the channel axis last, the
 layout of the grid-tensor container. Convolution is cross-correlation
 (no kernel flip) with stride 1 and zero same-padding, lowered to one
-matrix product per call via im2col. Every forward returns the cache its
+matrix product per call via ``im2col``. A convolution's backward takes
+the im2col matrix of its input, which the caller may rebuild from the
+input instead of keeping it. Every other forward returns the cache its
 backward needs; dtypes follow the input so the same code runs in float32
 for training and float64 for finite-difference checks.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "im2col",
     "conv2d_forward",
     "conv2d_backward",
     "maxpool2_forward",
@@ -30,6 +33,20 @@ __all__ = [
 ]
 
 
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The ``(N*H*W, k*k*Cin)`` patch matrix of a same-padded ``k``x``k``
+    window over ``x`` ``(N, H, W, Cin)``, columns in ``(dy, dx, c)`` order
+    to match ``w.reshape(k*k*Cin, Cout)``."""
+    n, h, wd, cin = x.shape
+    pad = k // 2
+    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + wd, :] = x
+    # (n, h, wd, cin, dy, dx) view -> (n, h, wd, dy, dx, cin); the
+    # reshape is the one copy.
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * wd, k * k * cin)
+
+
 def conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -37,19 +54,14 @@ def conv2d_forward(
 
     ``x`` is ``(N, H, W, Cin)``, ``w`` is ``(k, k, Cin, Cout)`` with odd
     k, ``b`` is ``(Cout,)``. Returns ``(out, cols)`` where ``cols`` is
-    the ``(N*H*W, k*k*Cin)`` im2col matrix kept for the backward pass.
+    the ``(N*H*W, k*k*Cin)`` im2col matrix of ``x``; ``conv2d_backward``
+    takes it or an equal ``im2col(x, k)``.
     """
     n, h, wd, cin = x.shape
     k = w.shape[0]
-    pad = k // 2
-    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + wd, :] = x
-    # Patch layout (dy, dx, channel) matches w.reshape(k*k*cin, cout).
-    cols = np.concatenate(
-        [xp[:, dy : dy + h, dx : dx + wd, :] for dy in range(k) for dx in range(k)],
-        axis=3,
-    ).reshape(n * h * wd, k * k * cin)
-    out = cols @ w.reshape(k * k * cin, -1) + b
+    cols = im2col(x, k)
+    out = cols @ w.reshape(k * k * cin, -1)
+    out += b
     return out.reshape(n, h, wd, -1), cols
 
 
@@ -145,23 +157,35 @@ def global_pool_backward(
     return np.repeat(dout[:, None, :] / (h * w), h * w, axis=1).reshape(n, h, w, c)
 
 
-def maxout_forward(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise max over the leading (branch) axis.
+def maxout_forward(
+    branches, train: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Elementwise max over a sequence of equal-shape branch outputs.
 
-    Returns ``(out, winner)``; winner records the branch index per
-    element, ties resolved to the lowest index.
+    Returns ``(out, winner)``. With ``train`` winner records the branch
+    index per element, ties resolved to the lowest index; without it
+    winner is None.
     """
-    winner = stack.argmax(axis=0)
-    out = np.take_along_axis(stack, winner[None, ...], axis=0)[0]
+    out = np.array(branches[0])
+    winner = np.zeros(out.shape, np.min_scalar_type(len(branches) - 1)) if train else None
+    for s in range(1, len(branches)):
+        branch = branches[s]
+        if train:
+            np.copyto(winner, s, where=branch > out)
+        # On a tie np.maximum returns its second operand, so an equal
+        # later branch (-0.0 against +0.0 included) never replaces out.
+        np.maximum(branch, out, out=out)
     return out, winner
 
 
 def maxout_backward(
     dout: np.ndarray, winner: np.ndarray, scales: int
 ) -> np.ndarray:
-    dstack = np.zeros((scales,) + dout.shape, dtype=dout.dtype)
-    np.put_along_axis(dstack, winner[None, ...], dout[None, ...], axis=0)
-    return dstack
+    """Route ``dout`` to each element's winning branch: returns the
+    ``(scales,) + dout.shape`` branch gradients, zero where a branch
+    lost."""
+    branch = np.arange(scales, dtype=winner.dtype).reshape((scales,) + (1,) * winner.ndim)
+    return np.where(winner == branch, dout, 0)
 
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -184,6 +184,7 @@ def _train_one_fold(
     best_val = np.inf
     best_params = model.get_flat_params()
     best_epoch = 0
+    best_hits = None
     stale = 0
     for epoch in range(config.epochs):
         order = batch_rng.permutation(train_idx)
@@ -198,7 +199,7 @@ def _train_one_fold(
             optimizer.step()
             epoch_loss += loss * batch.size
         train_losses.append(epoch_loss / order.size)
-        val_loss, _, _, _ = evaluate(
+        val_loss, layout_hits, graph_hits, _ = evaluate(
             model, tensors[test_idx], labels[test_idx], graph_ids[test_idx]
         )
         val_losses.append(val_loss)
@@ -206,15 +207,20 @@ def _train_one_fold(
             best_val = val_loss
             best_params = model.get_flat_params()
             best_epoch = epoch
+            best_hits = (layout_hits, graph_hits)
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
+    # The restored weights were scored at the best epoch; only when no
+    # epoch ran, or none beat the initial weights, are they scored here.
     model.set_flat_params(best_params)
-    _, layout_hits, graph_hits, _ = evaluate(
-        model, tensors[test_idx], labels[test_idx], graph_ids[test_idx]
-    )
+    if best_hits is None:
+        best_hits = evaluate(
+            model, tensors[test_idx], labels[test_idx], graph_ids[test_idx]
+        )[1:3]
+    layout_hits, graph_hits = best_hits
     result = FoldResult(
         fold=fold,
         layout_accuracy=layout_hits / test_idx.size,

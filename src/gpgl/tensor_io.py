@@ -9,8 +9,10 @@ training stage can group layouts by source graph.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "ManifestEntry",
+    "atomic_open",
     "write_container",
     "read_container",
     "manifest_path_for",
@@ -44,6 +47,26 @@ class ManifestEntry:
 _MANIFEST_FIELDS = {f.name for f in fields(ManifestEntry)}
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path):
+    """Open ``path`` for binary writing, all or nothing.
+
+    The block writes a temporary file in the same directory, which
+    replaces ``path`` only when the block completes; if the block raises,
+    the temporary file is removed and any earlier ``path`` is left as it
+    was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_container(path: str | Path, tensors: np.ndarray) -> None:
     """Write an ``(N, H, W, F)`` float32 batch to ``path``."""
     arr = np.ascontiguousarray(tensors, dtype=np.float32)
@@ -58,7 +81,7 @@ def write_container(path: str | Path, tensors: np.ndarray) -> None:
         "dtype": "f32",
         "order": _ORDER,
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
         fh.write(b"\n")
         fh.write(arr.astype("<f4", copy=False).tobytes())
@@ -96,7 +119,8 @@ def manifest_path_for(container_path: str | Path) -> Path:
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
     doc = {"entries": [asdict(e) for e in entries]}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:

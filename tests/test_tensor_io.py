@@ -1,12 +1,16 @@
 """Tests for the tensor container format and its sidecar manifest."""
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
+import gpgl.tensor_io
+from gpgl.nn.network import MsmCnn, NetworkConfig
 from gpgl.tensor_io import (
     ManifestEntry,
+    atomic_open,
     manifest_path_for,
     read_container,
     read_manifest,
@@ -108,3 +112,57 @@ class TestManifest:
         write_manifest(a, entries)
         write_manifest(b, entries)
         assert a.read_bytes() == b.read_bytes()
+
+
+class _DiskFullFile:
+    """A binary file that stores half of its first write, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data: bytes) -> int:
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _write_container(path, value):
+    write_container(path, np.full((2, 3, 3, 2), value, dtype=np.float32))
+
+
+def _write_manifest(path, value):
+    write_manifest(path, [ManifestEntry(graph_id=value, layout_seed=0, label=1)])
+
+
+def _save_checkpoint(path, value):
+    model = MsmCnn(2, 2, NetworkConfig(conv_channels=(2,), fc_sizes=(), seed=value))
+    model.save(path, epoch=value)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [_write_container, _write_manifest, _save_checkpoint])
+    def test_failed_write_leaves_earlier_file_intact(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact"
+        write(path, 1)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            gpgl.tensor_io, "open", lambda *a, **k: _DiskFullFile(open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="No space"):
+            write(path, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_completed_block_replaces_file(self, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old")
+        with atomic_open(path) as fh:
+            fh.write(b"new")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

@@ -207,6 +207,23 @@ class TestTrainingLoop:
             model, epoch = MsmCnn.load(tmp_path / f"fold{fold}.ckpt")
             assert epoch == result.folds[fold].best_epoch
 
+    @pytest.mark.parametrize("epochs", [0, 6])
+    def test_stored_counts_equal_fresh_evaluate_of_restored_model(self, tmp_path, epochs):
+        # Noise that buries the signal: in two folds the best epoch is not
+        # the last, and the last epoch scores other hits than the best.
+        tensors, labels, gids = blob_corpus(n_graphs=12, noise=2.0, seed=1)
+        config = small_config(epochs=epochs, learning_rate=0.05)
+        result = train(tensors, labels, gids, config, n_folds=3, checkpoint_dir=tmp_path)
+        folds = make_graph_folds(gids, 3, config.seed)
+        for fold, test_graphs in zip(result.folds, folds):
+            model, _ = MsmCnn.load(tmp_path / f"fold{fold.fold}.ckpt")
+            test = np.isin(gids, test_graphs)
+            _, layout_hits, graph_hits, _ = evaluate(model, tensors[test], labels[test], gids[test])
+            assert fold.layout_counts == (layout_hits, int(test.sum()))
+            assert fold.graph_counts == (graph_hits, test_graphs.size)
+        if epochs:
+            assert any(f.best_epoch < len(f.val_losses) - 1 for f in result.folds)
+
 
 class TestEvaluate:
     def test_consistent_with_returned_predictions(self):
