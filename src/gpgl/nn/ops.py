@@ -12,6 +12,8 @@ for training and float64 for finite-difference checks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -158,7 +160,7 @@ def global_pool_backward(
 
 
 def maxout_forward(
-    branches, train: bool = True
+    branches: Sequence[np.ndarray], train: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Elementwise max over a sequence of equal-shape branch outputs.
 
