@@ -45,15 +45,16 @@ class AugmentedSet:
     """The k layout runs produced for one graph."""
 
     graph_id: int
-    k: int
     layouts: tuple[AugmentedLayout, ...]
 
     def __post_init__(self) -> None:
-        if len(self.layouts) != self.k:
-            raise ValueError("layouts must contain exactly k entries")
         seeds = [lay.seed for lay in self.layouts]
         if len(set(seeds)) != len(seeds):
             raise ValueError("layout seeds must be pairwise distinct")
+
+    @property
+    def k(self) -> int:
+        return len(self.layouts)
 
     def successful(self) -> tuple[AugmentedLayout, ...]:
         return tuple(lay for lay in self.layouts if not lay.failed)
@@ -74,7 +75,7 @@ def augment(
     for i in range(k):
         seed = p.seed + i
         runs.append(_run_once(g, p, seed))
-    return AugmentedSet(graph_id=graph_id, k=k, layouts=tuple(runs))
+    return AugmentedSet(graph_id=graph_id, layouts=tuple(runs))
 
 
 def _run_once(g: Graph, p: LayoutParams, seed: int) -> AugmentedLayout:

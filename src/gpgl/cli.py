@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .augment import AugmentedSet, augment
@@ -27,7 +28,7 @@ from .layout import LayoutParams, layout_graph
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
 from .render import render_graph_svg
-from .tensor_io import manifest_path_for
+from .tensor_io import atomic_open, manifest_path_for, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -46,6 +47,7 @@ def _add_layout_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--gamma", type=float, default=d.gamma, help="rescale floor")
     group.add_argument(
         "--rescale",
+        dest="enable_rescale",
         action="store_true",
         default=d.enable_rescale,
         help="rescale between the two stages",
@@ -60,15 +62,8 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> LayoutParams:
-    return LayoutParams(
-        alpha=args.alpha,
-        lam=args.lam,
-        gamma=args.gamma,
-        enable_rescale=args.rescale,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        seed=args.seed,
-    )
+    # Each layout flag's dest is the LayoutParams field it sets.
+    return LayoutParams(**{f.name: getattr(args, f.name) for f in fields(LayoutParams)})
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
@@ -118,23 +113,11 @@ def _write_run_files(
                     )
                 )
         graphs_doc.append({"graph_id": s.graph_id, "k": s.k, "layouts": runs})
-    doc = {
-        "params": {
-            "alpha": p.alpha,
-            "lambda": p.lam,
-            "gamma": p.gamma,
-            "enable_rescale": p.enable_rescale,
-            "max_iters": p.max_iters,
-            "grad_tol": p.grad_tol,
-            "seed": p.seed,
-        },
-        "k": k,
-        "graphs": graphs_doc,
-    }
-    (out_dir / "layouts.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
-    (out_dir / "diagnostics.jsonl").write_text("\n".join(diag_lines) + "\n")
+    params = asdict(p)
+    params["lambda"] = params.pop("lam")
+    write_json(out_dir / "layouts.json", {"params": params, "k": k, "graphs": graphs_doc})
+    with atomic_open(out_dir / "diagnostics.jsonl") as fh:
+        fh.write(("\n".join(diag_lines) + "\n").encode())
 
 
 def _summary(sets: list[AugmentedSet], ds: GraphDataset, elapsed: float) -> dict:
@@ -220,7 +203,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
             raise IndexError(f"graph index {i} out of range 0..{len(ds.graphs) - 1}")
         grid, _ = layout_graph(ds.graphs[i], p)
         svg = render_graph_svg(ds.graphs[i], grid, cell_size=args.cell_size)
-        (out_dir / f"graph_{i}.svg").write_text(svg)
+        with atomic_open(out_dir / f"graph_{i}.svg") as fh:
+            fh.write(svg.encode())
     print(_json_line({"rendered": len(list(indices)), "out": str(out_dir)}))
     return 0
 
@@ -230,18 +214,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _config_from_args(args: argparse.Namespace) -> NetworkConfig:
-    return NetworkConfig(
-        conv_channels=_parse_int_list(args.channels),
-        fc_sizes=_parse_int_list(args.fc),
-        scales=args.scales,
-        global_pool=args.global_pool,
-        dropout=args.dropout,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
+    # Each network flag's dest is the NetworkConfig field it sets.
+    return NetworkConfig(**{f.name: getattr(args, f.name) for f in fields(NetworkConfig)})
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -258,9 +232,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - start
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        write_json(args.out, result.to_dict())
     print(
         _json_line(
             {
@@ -330,14 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--checkpoint-dir", default=None)
     p_train.add_argument("--folds", type=int, default=10)
     net = NetworkConfig()
-    p_train.add_argument("--channels", default=",".join(map(str, net.conv_channels)))
-    p_train.add_argument("--fc", default=",".join(map(str, net.fc_sizes)))
+    p_train.add_argument(
+        "--channels", dest="conv_channels", type=_parse_int_list, default=net.conv_channels
+    )
+    p_train.add_argument("--fc", dest="fc_sizes", type=_parse_int_list, default=net.fc_sizes)
     p_train.add_argument("--scales", type=int, default=net.scales)
     p_train.add_argument(
         "--global-pool", choices=("max", "mean"), default=net.global_pool
     )
     p_train.add_argument("--dropout", type=float, default=net.dropout)
-    p_train.add_argument("--lr", type=float, default=net.learning_rate)
+    p_train.add_argument("--lr", dest="learning_rate", type=float, default=net.learning_rate)
     p_train.add_argument("--batch-size", type=int, default=net.batch_size)
     p_train.add_argument("--epochs", type=int, default=net.epochs)
     p_train.add_argument("--patience", type=int, default=net.patience)

@@ -10,7 +10,7 @@ are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,16 +93,7 @@ class DatasetStats:
     feature_dim: int
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "num_graphs": self.num_graphs,
-            "num_classes": self.num_classes,
-            "avg_nodes": self.avg_nodes,
-            "avg_edges": self.avg_edges,
-            "avg_degree": self.avg_degree,
-            "max_degree": self.max_degree,
-            "feature_dim": self.feature_dim,
-        }
+        return asdict(self)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -261,9 +252,7 @@ def _corpus_max_degree(ds: GraphDataset) -> int:
     return max(int(g.degrees().max()) if g.num_vertices else 0 for g in ds.graphs)
 
 
-def _feature_columns(
-    ds: GraphDataset, mode: str, degree_cap: int
-) -> tuple[int, dict[int, int] | None]:
+def _feature_columns(ds: GraphDataset, mode: str) -> tuple[int, dict[int, int] | None]:
     """Resolve ``mode`` to the corpus-wide feature width and, for label
     features, the one-hot column of each vertex label (None for degree
     features). See ``featurize`` for the modes."""
@@ -278,27 +267,23 @@ def _feature_columns(
         vocab = sorted({int(v) for arr in ds.node_labels for v in arr})
         return len(vocab), {v: i for i, v in enumerate(vocab)}
     if mode == "one_hot_degree":
-        if degree_cap < 1:
-            raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
-        return min(_corpus_max_degree(ds) + 1, degree_cap), None
+        return min(_corpus_max_degree(ds) + 1, DEGREE_CAP), None
     raise ValueError(
         f"mode must be 'one_hot_label', 'one_hot_degree' or 'auto', got {mode!r}"
     )
 
 
-def featurize(
-    ds: GraphDataset, mode: str = "auto", degree_cap: int = DEGREE_CAP
-) -> GraphDataset:
+def featurize(ds: GraphDataset, mode: str = "auto") -> GraphDataset:
     """Attach one-hot vertex features to every graph.
 
     Modes: "one_hot_label" encodes the vertex label over the corpus-wide
     sorted label vocabulary; "one_hot_degree" encodes vertex degree with
-    at most ``degree_cap`` bins, larger degrees sharing the top bin;
+    at most ``DEGREE_CAP`` bins, larger degrees sharing the top bin;
     "auto" picks labels when the dataset has them, degrees otherwise.
     The feature width is fixed across the corpus so every graph maps to
     the same tensor depth.
     """
-    dim, column = _feature_columns(ds, mode, degree_cap)
+    dim, column = _feature_columns(ds, mode)
     graphs = []
     for i, g in enumerate(ds.graphs):
         feats = np.zeros((g.num_vertices, dim), dtype=np.float64)
@@ -321,7 +306,7 @@ def dataset_stats(ds: GraphDataset) -> DatasetStats:
     if ds.graphs[0].features is not None:
         feature_dim = ds.graphs[0].features.shape[1]
     else:
-        feature_dim, _ = _feature_columns(ds, "auto", DEGREE_CAP)
+        feature_dim, _ = _feature_columns(ds, "auto")
     return DatasetStats(
         name=ds.name,
         num_graphs=len(ds.graphs),

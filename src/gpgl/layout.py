@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -173,16 +173,7 @@ class LayoutDiagnostics:
         return self.kk_loss + self.separation_penalty
 
     def to_dict(self) -> dict:
-        return {
-            "kk_loss": self.kk_loss,
-            "separation_penalty": self.separation_penalty,
-            "total_loss": self.total_loss,
-            "kk_iterations": self.kk_iterations,
-            "gpgl_iterations": self.gpgl_iterations,
-            "lost_vertices": self.lost_vertices,
-            "converged": self.converged,
-            "components": self.components,
-        }
+        return {**asdict(self), "total_loss": self.total_loss}
 
 
 def circular_init(n: int, seed: int) -> Layout:

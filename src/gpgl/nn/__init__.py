@@ -1,28 +1,2 @@
-"""From-scratch CNN: numpy ops, maxout layers, Adam training."""
-
-from __future__ import annotations
-
-from .network import MsmCnn, NetworkConfig
-from .train import (
-    Adam,
-    FoldResult,
-    TrainResult,
-    evaluate,
-    load_container_training_set,
-    majority_vote,
-    make_graph_folds,
-    train,
-)
-
-__all__ = [
-    "MsmCnn",
-    "NetworkConfig",
-    "Adam",
-    "FoldResult",
-    "TrainResult",
-    "evaluate",
-    "load_container_training_set",
-    "majority_vote",
-    "make_graph_folds",
-    "train",
-]
+"""From-scratch CNN: numpy ops (``ops``), maxout layers (``layers``), the
+network and its checkpoints (``network``), Adam training (``train``)."""

@@ -138,14 +138,6 @@ class MsmCnn:
         self.backward(dlogits)
         return loss
 
-    def predict(self, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
-        """Class labels for a batch, evaluated in inference mode."""
-        preds = []
-        for start in range(0, x.shape[0], batch_size):
-            logits = self.forward(x[start : start + batch_size], train=False)
-            preds.append(logits.argmax(axis=1))
-        return np.concatenate(preds)
-
     def get_flat_params(self) -> np.ndarray:
         return np.concatenate([p.value.ravel() for p in self._params])
 

@@ -31,53 +31,57 @@ __all__ = [
     "load_container_training_set",
 ]
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+# Samples per forward pass when scoring a held-out fold.
+_EVAL_BATCH = 32
+
 
 class Adam:
     """Adam with bias correction; state arrays follow parameter dtype."""
 
-    def __init__(
-        self,
-        params: list[Param],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: list[Param], lr: float) -> None:
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in params]
         self._v = [np.zeros_like(p.value) for p in params]
 
     def step(self) -> None:
         self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
+        correction1 = 1.0 - _BETA1**self.t
+        correction2 = 1.0 - _BETA2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            update = (m / correction1) / (np.sqrt(v / correction2) + _EPS)
             p.value = p.value - self.lr * update
 
 
 @dataclass(eq=False)
 class FoldResult:
-    """Outcome of one cross-validation fold."""
+    """Outcome of one cross-validation fold; the counts are (hits, total)
+    over the fold's test layouts and test graphs."""
 
     fold: int
-    layout_accuracy: float
-    graph_accuracy: float
     train_losses: list[float]
     val_losses: list[float]
     best_epoch: int
     layout_counts: tuple[int, int]
     graph_counts: tuple[int, int]
+
+    @property
+    def layout_accuracy(self) -> float:
+        return self.layout_counts[0] / self.layout_counts[1]
+
+    @property
+    def graph_accuracy(self) -> float:
+        return self.graph_counts[0] / self.graph_counts[1]
 
     def to_dict(self) -> dict:
         return {
@@ -97,8 +101,14 @@ class TrainResult:
 
     config: NetworkConfig
     folds: list[FoldResult]
-    layout_accuracy: float
-    graph_accuracy: float
+
+    @property
+    def layout_accuracy(self) -> float:
+        return _pooled([f.layout_counts for f in self.folds])
+
+    @property
+    def graph_accuracy(self) -> float:
+        return _pooled([f.graph_counts for f in self.folds])
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +117,10 @@ class TrainResult:
             "graph_accuracy": self.graph_accuracy,
             "folds": [f.to_dict() for f in self.folds],
         }
+
+
+def _pooled(counts: list[tuple[int, int]]) -> float:
+    return sum(hits for hits, _ in counts) / sum(total for _, total in counts)
 
 
 def make_graph_folds(
@@ -133,18 +147,19 @@ def evaluate(
     tensors: np.ndarray,
     labels: np.ndarray,
     graph_ids: np.ndarray,
-    batch_size: int = 32,
 ) -> tuple[float, int, int, np.ndarray]:
-    """Returns (mean loss, layout hits, graph hits, predictions).
+    """Score ``model`` in inference mode (no dropout, no layer caches).
 
-    A layout hits when its prediction equals its label; a graph hits
-    when the majority vote of its layouts' predictions does.
+    Returns (mean loss, layout hits, graph hits, predicted labels). The
+    tensors are scored in batches of 32 in their given order. A layout
+    hits when its prediction equals its label; a graph hits when the
+    ``majority_vote`` of its layouts' predictions does.
     """
     losses = []
     preds = []
-    for start in range(0, tensors.shape[0], batch_size):
-        x = tensors[start : start + batch_size]
-        y = labels[start : start + batch_size]
+    for start in range(0, tensors.shape[0], _EVAL_BATCH):
+        x = tensors[start : start + _EVAL_BATCH]
+        y = labels[start : start + _EVAL_BATCH]
         logits = model.forward(x, train=False)
         loss, _ = ops.softmax_cross_entropy(logits, y)
         losses.append(loss * x.shape[0])
@@ -223,8 +238,6 @@ def _train_one_fold(
     layout_hits, graph_hits = best_hits
     result = FoldResult(
         fold=fold,
-        layout_accuracy=layout_hits / test_idx.size,
-        graph_accuracy=graph_hits / test_graphs.size,
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,
@@ -240,24 +253,27 @@ def train(
     graph_ids: np.ndarray,
     config: NetworkConfig,
     n_folds: int = 10,
-    num_classes: int | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> TrainResult:
     """Run n-fold cross-validation over a tensor corpus.
 
-    The held-out fold doubles as the early-stopping validation set; the
-    parameters from its best-loss epoch are restored before scoring.
-    Deterministic for fixed inputs and config.
+    Folds split the distinct ``graph_ids`` (``make_graph_folds``), and
+    the network has ``max(labels) + 1`` classes. The held-out fold
+    doubles as the early-stopping validation set: a fold stops after
+    ``config.patience`` epochs in which the held-out loss fell by no
+    more than 1e-6, and the parameters from the best-loss epoch are
+    restored and scored. With a ``checkpoint_dir``, each fold's restored
+    model is saved there as ``fold{i}.ckpt``. Deterministic for fixed
+    inputs and config.
     """
     tensors = np.asarray(tensors, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     graph_ids = np.asarray(graph_ids, dtype=np.int64)
     if not tensors.shape[0] == labels.shape[0] == graph_ids.shape[0]:
         raise ValueError("tensors, labels and graph_ids must align")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative")
+    num_classes = int(labels.max()) + 1
     folds = make_graph_folds(graph_ids, n_folds, config.seed)
     results = []
     for fold, test_graphs in enumerate(folds):
@@ -270,16 +286,7 @@ def train(
             model.save(
                 Path(checkpoint_dir) / f"fold{fold}.ckpt", epoch=result.best_epoch
             )
-    layout_hits = sum(r.layout_counts[0] for r in results)
-    layout_total = sum(r.layout_counts[1] for r in results)
-    graph_hits = sum(r.graph_counts[0] for r in results)
-    graph_total = sum(r.graph_counts[1] for r in results)
-    return TrainResult(
-        config=config,
-        folds=results,
-        layout_accuracy=layout_hits / layout_total,
-        graph_accuracy=graph_hits / graph_total,
-    )
+    return TrainResult(config=config, folds=results)
 
 
 def load_container_training_set(

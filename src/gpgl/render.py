@@ -15,6 +15,9 @@ from .layout import GridLayout
 
 __all__ = ["render_svg", "render_graph_svg"]
 
+# Blank border around the drawing, in cells.
+_MARGIN = 1
+
 _STYLE = (
     "rect{fill:#4c78a8;stroke:#1d3557;stroke-width:1}"
     "line{stroke:#9aa5b1;stroke-width:2}"
@@ -27,23 +30,22 @@ def render_svg(
     grid: GridLayout,
     edges: Iterable[tuple[int, int]] = (),
     cell_size: int = 40,
-    margin: int = 1,
 ) -> str:
     """Render a grid layout to an SVG document string.
 
     ``edges`` are vertex index pairs, typically ``graph.edge_array()``
-    rows. Cell (row, col) maps to pixel x = (col + margin) * cell_size,
-    y = (row + margin) * cell_size; the margin is measured in cells.
+    rows. Cell (row, col) maps to pixel x = (col + 1) * cell_size,
+    y = (row + 1) * cell_size, leaving a one-cell margin on every side.
     """
-    if cell_size < 1 or margin < 0:
-        raise ValueError("cell_size must be >= 1 and margin >= 0")
+    if cell_size < 1:
+        raise ValueError("cell_size must be >= 1")
     rows, cols = grid.extent()
-    width = (cols + 2 * margin) * cell_size
-    height = (rows + 2 * margin) * cell_size
+    width = (cols + 2 * _MARGIN) * cell_size
+    height = (rows + 2 * _MARGIN) * cell_size
 
     def corner(v: int) -> tuple[int, int]:
         r, c = grid.cells[v]
-        return (int(c) + margin) * cell_size, (int(r) + margin) * cell_size
+        return (int(c) + _MARGIN) * cell_size, (int(r) + _MARGIN) * cell_size
 
     half = cell_size // 2
     parts = [
@@ -79,9 +81,7 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def render_graph_svg(
-    graph: Graph, grid: GridLayout, cell_size: int = 40, margin: int = 1
-) -> str:
+def render_graph_svg(graph: Graph, grid: GridLayout, cell_size: int = 40) -> str:
     """Convenience wrapper: render a layout with its graph's edges."""
     if graph.num_vertices != grid.n:
         raise ValueError("graph and layout disagree on vertex count")
@@ -89,5 +89,4 @@ def render_graph_svg(
         grid,
         edges=[(int(u), int(v)) for u, v in graph.edge_array()],
         cell_size=cell_size,
-        margin=margin,
     )

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "ManifestEntry",
     "atomic_open",
+    "write_json",
     "write_container",
     "read_container",
     "manifest_path_for",
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 _ORDER = "row-major, channel-last"
+_INT64 = np.iinfo(np.int64)
 
 
 def _is_int(value: object) -> bool:
@@ -65,6 +67,13 @@ def atomic_open(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, doc: object) -> None:
+    """Write ``doc`` as JSON (sorted keys, indent 2, trailing newline)
+    through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        fh.write((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
 
 
 def write_container(path: str | Path, tensors: np.ndarray) -> None:
@@ -118,14 +127,12 @@ def manifest_path_for(container_path: str | Path) -> Path:
 
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
-    doc = {"entries": [asdict(e) for e in entries]}
-    with atomic_open(path) as fh:
-        fh.write((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
+    write_json(path, {"entries": [asdict(e) for e in entries]})
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a manifest; each entry must hold exactly the three integer
-    fields of ``ManifestEntry``."""
+    fields of ``ManifestEntry``, each within the int64 range."""
     doc = json.loads(Path(path).read_text())
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -134,10 +141,10 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         if (
             not isinstance(e, dict)
             or e.keys() != _MANIFEST_FIELDS
-            or not all(_is_int(v) for v in e.values())
+            or not all(_is_int(v) and _INT64.min <= v <= _INT64.max for v in e.values())
         ):
             raise ValueError(
-                f"manifest entry {i} must have exactly the integer fields "
+                f"manifest entry {i} must have exactly the int64 fields "
                 f"{sorted(_MANIFEST_FIELDS)}"
             )
     return [ManifestEntry(**e) for e in entries]

@@ -74,15 +74,9 @@ class TestAugmentedSetType:
         grid = GridLayout(np.array([[0, 0], [0, 1]]))
         return AugmentedLayout(seed=seed, grid=grid, diagnostics=None)
 
-    def test_count_enforced(self):
-        with pytest.raises(ValueError, match="exactly k"):
-            AugmentedSet(graph_id=0, k=2, layouts=(self._layout(0),))
-
     def test_distinct_seeds_enforced(self):
         with pytest.raises(ValueError, match="distinct"):
-            AugmentedSet(
-                graph_id=0, k=2, layouts=(self._layout(0), self._layout(0))
-            )
+            AugmentedSet(graph_id=0, layouts=(self._layout(0), self._layout(0)))
 
     def test_failed_flag(self):
         failed = AugmentedLayout(seed=0, grid=None, diagnostics=None, error="boom")

@@ -344,8 +344,18 @@ class TestErrorHandling:
             {"graph_id": 0, "layout_seed": 0, "label": "0"},
             {"graph_id": 0, "layout_seed": 0, "label": 0.5},
             [0, 0, 0],
+            {"graph_id": 0, "layout_seed": 0, "label": 2**70},
+            {"graph_id": 2**63, "layout_seed": 0, "label": 0},
         ],
-        ids=["extra-key", "missing-key", "string-label", "float-label", "list"],
+        ids=[
+            "extra-key",
+            "missing-key",
+            "string-label",
+            "float-label",
+            "list",
+            "huge-label",
+            "huge-graph-id",
+        ],
     )
     def test_train_malformed_manifest_entry(self, tmp_path, capsys, entry):
         path = tmp_path / "bad.gt"

@@ -278,7 +278,7 @@ class TestParamsAndCheckpoints:
         assert loaded.config == model.config
         assert np.array_equal(loaded.get_flat_params(), model.get_flat_params())
         x = np.random.default_rng(0).normal(size=(4, 8, 8, 2)).astype(np.float32)
-        assert np.array_equal(loaded.predict(x), model.predict(x))
+        assert np.array_equal(loaded.forward(x, train=False), model.forward(x, train=False))
 
     def test_checkpoint_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -26,7 +26,7 @@ def _group(root: ET.Element, gid: str) -> ET.Element:
 class TestRenderSvg:
     def test_well_formed_with_size(self):
         grid = GridLayout(np.array([[0, 0], [1, 2]]))
-        root = _parse(render_svg(grid, cell_size=10, margin=1))
+        root = _parse(render_svg(grid, cell_size=10))
         assert root.tag == f"{_NS}svg"
         # extent 2 rows x 3 cols plus a 1-cell margin on each side.
         assert root.get("width") == "50"
@@ -35,7 +35,7 @@ class TestRenderSvg:
 
     def test_vertex_rect_positions_exact(self):
         grid = GridLayout(np.array([[0, 0], [2, 3]]))
-        root = _parse(render_svg(grid, cell_size=10, margin=1))
+        root = _parse(render_svg(grid, cell_size=10))
         for v, (row, col) in enumerate([(0, 0), (2, 3)]):
             vertex = _group(root, f"vertex-{v}")
             rect = vertex.find(f"{_NS}rect")
@@ -53,12 +53,13 @@ class TestRenderSvg:
 
     def test_edges_connect_cell_centres(self):
         grid = GridLayout(np.array([[0, 0], [0, 2]]))
-        root = _parse(render_svg(grid, edges=[(0, 1)], cell_size=10, margin=0))
+        root = _parse(render_svg(grid, edges=[(0, 1)], cell_size=10))
         lines = list(_group(root, "edges").iter(f"{_NS}line"))
         assert len(lines) == 1
         line = lines[0]
-        assert (line.get("x1"), line.get("y1")) == ("5", "5")
-        assert (line.get("x2"), line.get("y2")) == ("25", "5")
+        # Cell centres shifted by the one-cell margin.
+        assert (line.get("x1"), line.get("y1")) == ("15", "15")
+        assert (line.get("x2"), line.get("y2")) == ("35", "15")
 
     def test_edge_count(self):
         grid = GridLayout(np.array([[0, 0], [0, 1], [1, 1]]))
@@ -74,8 +75,6 @@ class TestRenderSvg:
         grid = GridLayout(np.array([[0, 0]]))
         with pytest.raises(ValueError):
             render_svg(grid, cell_size=0)
-        with pytest.raises(ValueError):
-            render_svg(grid, margin=-1)
 
 
 class TestRenderGraphSvg:

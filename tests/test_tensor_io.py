@@ -2,6 +2,7 @@
 
 import errno
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gpgl.tensor_io import (
     read_container,
     read_manifest,
     write_container,
+    write_json,
     write_manifest,
 )
 
@@ -113,6 +115,19 @@ class TestManifest:
         write_manifest(b, entries)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("field", ["graph_id", "layout_seed", "label"])
+    def test_values_limited_to_int64(self, tmp_path, field):
+        path = tmp_path / "run.gt.manifest.json"
+        lo, hi = -(2**63), 2**63 - 1
+        for value in (lo, hi, lo - 1, hi + 1):
+            entry = replace(ManifestEntry(graph_id=0, layout_seed=0, label=0), **{field: value})
+            write_manifest(path, [entry])
+            if lo <= value <= hi:
+                assert read_manifest(path) == [entry]
+            else:
+                with pytest.raises(ValueError, match="int64"):
+                    read_manifest(path)
+
 
 class _DiskFullFile:
     """A binary file that stores half of its first write, then fails."""
@@ -139,13 +154,19 @@ def _write_manifest(path, value):
     write_manifest(path, [ManifestEntry(graph_id=value, layout_seed=0, label=1)])
 
 
+def _write_json(path, value):
+    write_json(path, {"value": value})
+
+
 def _save_checkpoint(path, value):
     model = MsmCnn(2, 2, NetworkConfig(conv_channels=(2,), fc_sizes=(), seed=value))
     model.save(path, epoch=value)
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("write", [_write_container, _write_manifest, _save_checkpoint])
+    @pytest.mark.parametrize(
+        "write", [_write_container, _write_manifest, _write_json, _save_checkpoint]
+    )
     def test_failed_write_leaves_earlier_file_intact(self, tmp_path, monkeypatch, write):
         path = tmp_path / "artifact"
         write(path, 1)
