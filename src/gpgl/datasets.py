@@ -35,6 +35,8 @@ __all__ = [
 # beyond the cap share the top bin.
 DEGREE_CAP = 256
 
+_INT64_RANGE = range(-(2**63), 2**63)
+
 
 @dataclass(frozen=True, eq=False)
 class GraphDataset:
@@ -42,7 +44,9 @@ class GraphDataset:
 
     ``labels`` are remapped to contiguous ``0..class_count-1`` in sorted
     order of the raw label values. ``node_labels`` holds the raw per-vertex
-    integer labels when the source provides them.
+    integer labels when the source provides them. ``features`` holds one
+    ``(n, F)`` float array per graph, one row per vertex, once
+    ``featurize`` has run.
     """
 
     name: str
@@ -50,6 +54,7 @@ class GraphDataset:
     labels: np.ndarray
     class_count: int
     node_labels: tuple[np.ndarray, ...] | None = None
+    features: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.graphs) == 0:
@@ -60,12 +65,14 @@ class GraphDataset:
             raise ValueError("class_count must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ValueError("labels must lie in [0, class_count)")
-        if self.node_labels is not None:
-            if len(self.node_labels) != len(self.graphs):
-                raise ValueError("node_labels must have one entry per graph")
-            for g, arr in zip(self.graphs, self.node_labels):
+        for field, per_graph in (("node_labels", self.node_labels), ("features", self.features)):
+            if per_graph is None:
+                continue
+            if len(per_graph) != len(self.graphs):
+                raise ValueError(f"{field} must have one entry per graph")
+            for g, arr in zip(self.graphs, per_graph):
                 if arr.shape[0] != g.num_vertices:
-                    raise ValueError("node_labels must match graph sizes")
+                    raise ValueError(f"{field} must match graph sizes")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -155,14 +162,16 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
     num_nodes = len(indicator)
     if num_nodes == 0:
         raise DatasetParseError("no vertices", path=str(indicator_path))
-    num_graphs = max(indicator)
+    # Every graph has a vertex, so no graph id exceeds the vertex count;
+    # checking that first keeps a huge id from sizing the lists below.
     for i, gid in enumerate(indicator):
-        if not 1 <= gid <= num_graphs:
+        if not 1 <= gid <= num_nodes:
             raise DatasetParseError(
-                f"graph indicator {gid} out of range",
+                f"graph indicator {gid} out of range 1..{num_nodes}",
                 path=str(indicator_path),
                 line=i + 1,
             )
+    num_graphs = max(indicator)
 
     # Local vertex numbering: a vertex's index within its graph is its
     # rank among that graph's vertices in file order.
@@ -232,7 +241,13 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
                 path=str(node_labels_path),
             )
         per_graph: list[list[int]] = [[] for _ in range(num_graphs)]
-        for value, gid in zip(values, indicator):
+        for i, (value, gid) in enumerate(zip(values, indicator)):
+            if value not in _INT64_RANGE:
+                raise DatasetParseError(
+                    f"vertex label {value} outside the int64 range",
+                    path=str(node_labels_path),
+                    line=i + 1,
+                )
             per_graph[gid - 1].append(value)
         node_labels = tuple(np.array(vals, dtype=np.int64) for vals in per_graph)
 
@@ -249,13 +264,14 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
 
 
 def _corpus_max_degree(ds: GraphDataset) -> int:
-    return max(int(g.degrees().max()) if g.num_vertices else 0 for g in ds.graphs)
+    return max(int(g.degrees().max()) for g in ds.graphs)
 
 
-def _feature_columns(ds: GraphDataset, mode: str) -> tuple[int, dict[int, int] | None]:
+def _feature_columns(ds: GraphDataset, mode: str) -> tuple[int, np.ndarray | None]:
     """Resolve ``mode`` to the corpus-wide feature width and, for label
-    features, the one-hot column of each vertex label (None for degree
-    features). See ``featurize`` for the modes."""
+    features, the sorted label vocabulary whose index is each label's
+    one-hot column (None for degree features). See ``featurize`` for the
+    modes."""
     if mode == "auto":
         mode = "one_hot_label" if ds.node_labels is not None else "one_hot_degree"
     if mode == "one_hot_label":
@@ -264,8 +280,8 @@ def _feature_columns(ds: GraphDataset, mode: str) -> tuple[int, dict[int, int] |
                 f"dataset {ds.name!r} has no vertex labels; "
                 "use mode 'one_hot_degree'"
             )
-        vocab = sorted({int(v) for arr in ds.node_labels for v in arr})
-        return len(vocab), {v: i for i, v in enumerate(vocab)}
+        vocab = np.unique(np.concatenate(ds.node_labels))
+        return len(vocab), vocab
     if mode == "one_hot_degree":
         return min(_corpus_max_degree(ds) + 1, DEGREE_CAP), None
     raise ValueError(
@@ -274,27 +290,27 @@ def _feature_columns(ds: GraphDataset, mode: str) -> tuple[int, dict[int, int] |
 
 
 def featurize(ds: GraphDataset, mode: str = "auto") -> GraphDataset:
-    """Attach one-hot vertex features to every graph.
+    """Return ``ds`` with one-hot vertex features in ``ds.features``.
 
-    Modes: "one_hot_label" encodes the vertex label over the corpus-wide
-    sorted label vocabulary; "one_hot_degree" encodes vertex degree with
-    at most ``DEGREE_CAP`` bins, larger degrees sharing the top bin;
-    "auto" picks labels when the dataset has them, degrees otherwise.
-    The feature width is fixed across the corpus so every graph maps to
-    the same tensor depth.
+    ``features[i]`` is an ``(n_i, F)`` float64 array, one row per vertex
+    of graph ``i``. Modes: "one_hot_label" encodes the vertex label over
+    the corpus-wide sorted label vocabulary; "one_hot_degree" encodes
+    vertex degree with at most ``DEGREE_CAP`` bins, larger degrees sharing
+    the top bin; "auto" picks labels when the dataset has them, degrees
+    otherwise. The width ``F`` is fixed across the corpus so every graph
+    maps to the same tensor depth.
     """
-    dim, column = _feature_columns(ds, mode)
-    graphs = []
+    dim, vocab = _feature_columns(ds, mode)
+    features = []
     for i, g in enumerate(ds.graphs):
-        feats = np.zeros((g.num_vertices, dim), dtype=np.float64)
-        if column is not None:
-            for v, lab in enumerate(ds.node_labels[i]):
-                feats[v, column[int(lab)]] = 1.0
+        if vocab is not None:
+            hot = np.searchsorted(vocab, ds.node_labels[i])
         else:
-            for v, deg in enumerate(g.degrees()):
-                feats[v, min(int(deg), dim - 1)] = 1.0
-        graphs.append(g.with_features(feats))
-    return replace(ds, graphs=tuple(graphs))
+            hot = np.minimum(g.degrees(), dim - 1)
+        feats = np.zeros((g.num_vertices, dim), dtype=np.float64)
+        feats[np.arange(g.num_vertices), hot] = 1.0
+        features.append(feats)
+    return replace(ds, features=tuple(features))
 
 
 def dataset_stats(ds: GraphDataset) -> DatasetStats:
@@ -303,10 +319,7 @@ def dataset_stats(ds: GraphDataset) -> DatasetStats:
     edges = np.array([g.num_edges for g in ds.graphs], dtype=np.float64)
     avg_nodes = float(sizes.mean())
     avg_edges = float(edges.mean())
-    if ds.graphs[0].features is not None:
-        feature_dim = ds.graphs[0].features.shape[1]
-    else:
-        feature_dim, _ = _feature_columns(ds, "auto")
+    feature_dim, _ = _feature_columns(ds, "auto")
     return DatasetStats(
         name=ds.name,
         num_graphs=len(ds.graphs),
@@ -337,17 +350,14 @@ def export_tensors(
     ]
     if not runs:
         raise ValueError("nothing to export: no successful layouts")
+    if ds.features is None:
+        raise ValueError(f"dataset {ds.name!r} has no features; run featurize first")
     tensors = []
     entries = []
     for graph_id, lay in runs:
-        g = ds.graphs[graph_id]
-        if g.features is None:
-            raise ValueError(
-                f"graph {graph_id} has no features; run featurize first"
-            )
         try:
             tensors.append(
-                build_grid_tensor(lay.grid, g.features, window=window, merge=merge)
+                build_grid_tensor(lay.grid, ds.features[graph_id], window=window, merge=merge)
             )
         except WindowOverflowError as exc:
             raise WindowOverflowError(str(exc), graph_id=graph_id) from None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -24,13 +24,12 @@ class Graph:
     """Simple undirected graph over vertices ``0 .. num_vertices - 1``.
 
     Edges are stored as canonical ``(min, max)`` pairs with no self-loops
-    and no duplicates. ``features``, when present, is an ``(n, F)`` float
-    array with one row per vertex.
+    and no duplicates. A graph is topology only; per-vertex data lives
+    with the dataset that holds it.
     """
 
     num_vertices: int
     edges: frozenset[tuple[int, int]]
-    features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
@@ -42,21 +41,9 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not in canonical (min,max) order")
-        if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != self.num_vertices or feats.shape[1] < 1:
-                raise ValueError(
-                    f"features must be (n, F) with F >= 1, got shape {feats.shape}"
-                )
-            object.__setattr__(self, "features", feats)
 
     @classmethod
-    def from_edges(
-        cls,
-        num_vertices: int,
-        edges: Iterable[tuple[int, int]],
-        features: np.ndarray | None = None,
-    ) -> Graph:
+    def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph from an arbitrary edge iterable.
 
         Edges are canonicalized to ``(min, max)`` and deduplicated, so both
@@ -69,7 +56,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             canonical.add((u, v) if u < v else (v, u))
-        return cls(num_vertices, frozenset(canonical), features)
+        return cls(num_vertices, frozenset(canonical))
 
     @property
     def num_edges(self) -> int:
@@ -83,24 +70,8 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Undirected degree of every vertex as an ``(n,)`` int array."""
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists, sorted ascending per vertex."""
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        return adj
-
-    def with_features(self, features: np.ndarray) -> Graph:
-        return Graph(self.num_vertices, self.edges, features)
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64, 2 * len(self.edges))
+        return np.bincount(ends, minlength=self.num_vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +110,38 @@ class Component:
     original_vertices: np.ndarray
 
 
+def _hop_matrix(g: Graph) -> np.ndarray:
+    """Hop counts from every source at once: ``(n, n)``, -1 where no path.
+
+    A level-synchronous breadth-first search over flat ``source * n +
+    vertex`` pair indices: each level steps every frontier pair along the
+    arcs out of its vertex, marks the pairs not reached before, and takes
+    them as the next frontier. Steps total O(n * m), plus one O(n^2) scan
+    per level.
+    """
+    n = g.num_vertices
+    e = g.edge_array()
+    tail = np.concatenate([e[:, 0], e[:, 1]])
+    order = np.argsort(tail, kind="stable")
+    step = (np.concatenate([e[:, 1], e[:, 0]]) - tail)[order]  # flat-index step of each arc
+    deg = g.degrees()
+    first = np.cumsum(deg) - deg  # arcs out of u: first[u] .. first[u] + deg[u] - 1
+    d = np.full(n * n, -1, dtype=np.int64)
+    frontier = np.arange(n) * (n + 1)
+    d[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        v = frontier % n
+        k = deg[v]
+        end = np.cumsum(k)
+        arcs = np.arange(end[-1]) + np.repeat(first[v] - end + k, k)
+        reached = np.repeat(frontier, k) + step[arcs]
+        d[reached[d[reached] < 0]] = level
+        frontier = np.flatnonzero(d == level)
+    return d.reshape(n, n)
+
+
 def shortest_path_distances(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances by breadth-first search from every source.
 
@@ -158,25 +161,11 @@ def shortest_path_distances(g: Graph) -> DistanceMatrix:
     DisconnectedGraphError
         If some vertex pair has no connecting path.
     """
-    n = g.num_vertices
-    adj = g.adjacency()
-    d = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist = d[src]
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-        if dist.min() < 0:
-            raise DisconnectedGraphError(
-                f"vertex {int(np.argmin(dist >= 0))} unreachable from vertex {src}"
-            )
-    return DistanceMatrix(n, d)
+    d = _hop_matrix(g)
+    if d.min() < 0:
+        src, v = np.argwhere(d < 0)[0]
+        raise DisconnectedGraphError(f"vertex {v} unreachable from vertex {src}")
+    return DistanceMatrix(g.num_vertices, d)
 
 
 def connected_components(g: Graph) -> list[Component]:
@@ -187,34 +176,12 @@ def connected_components(g: Graph) -> list[Component]:
     order. The union of all ``original_vertices`` arrays is a bijection
     onto ``0 .. n - 1``.
     """
-    n = g.num_vertices
-    adj = g.adjacency()
-    label = np.full(n, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        label[start] = n_comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if label[v] < 0:
-                    label[v] = n_comp
-                    queue.append(v)
-        n_comp += 1
-
+    # Each vertex is labelled by the smallest vertex it reaches.
+    label = np.argmax(_hop_matrix(g) >= 0, axis=1)
+    e = g.edge_array()
     components: list[Component] = []
-    for c in range(n_comp):
-        members = np.flatnonzero(label == c)
-        local = {int(orig): i for i, orig in enumerate(members)}
-        edges = [
-            (local[u], local[v])
-            for u, v in g.edges
-            if label[u] == c
-        ]
-        feats = g.features[members] if g.features is not None else None
-        components.append(
-            Component(Graph.from_edges(len(members), edges, feats), members)
-        )
+    for root in np.unique(label):
+        members = np.flatnonzero(label == root)
+        local = np.searchsorted(members, e[label[e[:, 0]] == root])
+        components.append(Component(Graph.from_edges(len(members), local.tolist()), members))
     return components

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..tensor_io import atomic_open
+from ..tensor_io import read_framed, write_framed
 from . import ops
 from .layers import Dense, Dropout, GlobalPool, MaxPool2, MsmConv, Param, ReLU
 
@@ -166,19 +165,12 @@ class MsmCnn:
             "epoch": epoch,
             "config": asdict(self.config),
         }
-        with atomic_open(path) as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
-            fh.write(b"\n")
-            for p in self._params:
-                fh.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
+        write_framed(path, header, (p.value for p in self._params))
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["MsmCnn", int]:
         """Rebuild a network from a checkpoint; returns (model, epoch)."""
-        with open(path, "rb") as fh:
-            line = fh.readline()
-            payload = fh.read()
-        header = json.loads(line.decode("ascii"))
+        header, payload = read_framed(path)
         if header.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"not a {_CHECKPOINT_FORMAT} file")
         config = NetworkConfig(**header["config"])

@@ -2,9 +2,10 @@
 
 Format: one line of compact JSON metadata, a newline, then the raw
 little-endian float32 payload of all tensors concatenated in index
-order, row-major with the channel axis last. A sidecar JSON manifest
-maps tensor index to graph id, layout seed and class label so the
-training stage can group layouts by source graph.
+order, row-major with the channel axis last. Checkpoints share that
+header-plus-payload framing (``write_framed`` / ``read_framed``). A
+sidecar JSON manifest maps tensor index to graph id, layout seed and
+class label so the training stage can group layouts by source graph.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -22,6 +24,8 @@ __all__ = [
     "ManifestEntry",
     "atomic_open",
     "write_json",
+    "write_framed",
+    "read_framed",
     "write_container",
     "read_container",
     "manifest_path_for",
@@ -76,6 +80,28 @@ def write_json(path: str | Path, doc: object) -> None:
         fh.write((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
 
 
+def write_framed(path: str | Path, header: dict, arrays: Iterable[np.ndarray]) -> None:
+    """Write ``header`` as one line of compact sorted-key JSON, then each
+    array as raw little-endian float32, through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
+        fh.write(b"\n")
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def read_framed(path: str | Path) -> tuple[dict, bytes]:
+    """Read a ``write_framed`` file back as ``(header, payload bytes)``;
+    the header must be a JSON object."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
+    header = json.loads(line.decode("ascii"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{Path(path).name}: header must be a JSON object")
+    return header, payload
+
+
 def write_container(path: str | Path, tensors: np.ndarray) -> None:
     """Write an ``(N, H, W, F)`` float32 batch to ``path``."""
     arr = np.ascontiguousarray(tensors, dtype=np.float32)
@@ -90,20 +116,12 @@ def write_container(path: str | Path, tensors: np.ndarray) -> None:
         "dtype": "f32",
         "order": _ORDER,
     }
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(arr.astype("<f4", copy=False).tobytes())
+    write_framed(path, header, [arr])
 
 
 def read_container(path: str | Path) -> tuple[np.ndarray, dict]:
     """Read a container back as ``((N, H, W, F) float32, header)``."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        payload = fh.read()
-    header = json.loads(line.decode("ascii"))
-    if not isinstance(header, dict):
-        raise ValueError("container header must be a JSON object")
+    header, payload = read_framed(path)
     for key in ("height", "width", "channels", "count", "dtype", "order"):
         if key not in header:
             raise ValueError(f"container header missing {key!r}")

@@ -1,10 +1,16 @@
 """End-to-end CLI tests, run in-process through main()."""
 
+import contextlib
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, write_tu_dataset
 from gpgl.cli import _config_from_args, _params_from_args, build_parser, main
@@ -20,12 +26,16 @@ from gpgl.tensor_io import (
 )
 
 
-@pytest.fixture
-def cli_dataset(tmp_path):
+def write_cli_dataset(directory):
     graphs = [cycle_graph(5), path_graph(4), cycle_graph(6), path_graph(5)]
     labels = [1, -1, 1, -1]
     node_labels = [[v % 2 for v in range(g.num_vertices)] for g in graphs]
-    return write_tu_dataset(tmp_path, "CLI", graphs, labels, node_labels)
+    return write_tu_dataset(directory, "CLI", graphs, labels, node_labels)
+
+
+@pytest.fixture
+def cli_dataset(tmp_path):
+    return write_cli_dataset(tmp_path)
 
 
 FAST = ["--max-iters", "60"]
@@ -366,3 +376,65 @@ class TestErrorHandling:
         assert code == 1
         assert stdout == ""
         assert json.loads(stderr)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "suffix, text",
+        [
+            ("graph_indicator", "1\n100000000000000000000\n"),
+            ("graph_indicator", "1\n9223372036854775807\n"),
+            ("node_labels", "0\n1\n" + str(2**70) + "\n"),
+        ],
+        ids=["huge-graph-id", "int64-max-graph-id", "huge-node-label"],
+    )
+    def test_stats_malformed_dataset_file(self, tmp_path, capsys, suffix, text):
+        d = write_tu_dataset(tmp_path, "BAD", [path_graph(3)], [0], [[0, 1, 0]])
+        (d / f"BAD_{suffix}.txt").write_text(text)
+        code, stdout, stderr = run(capsys, ["stats", "--dataset", str(d), "--json"])
+        assert code == 1
+        assert stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "DatasetParseError"
+        assert f"BAD_{suffix}.txt:" in err["message"]
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    suffix=st.sampled_from(["graph_indicator", "A", "graph_labels", "node_labels"]),
+    line=st.integers(0, 10**6),
+    token=st.none()
+    | st.integers(-(2**70), 2**70).map(str)
+    | st.text(st.characters(codec="utf-8"), max_size=6).filter(lambda t: not _is_int(t)),
+)
+def test_stats_survives_one_bad_line(suffix, line, token):
+    """Replacing (with an integer of any size or a non-integer token) or
+    deleting one line of a valid dataset file ends ``gpgl stats --json``
+    in its output or in the JSON error contract, never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = write_cli_dataset(Path(tmp))
+        path = d / f"CLI_{suffix}.txt"
+        lines = path.read_text().splitlines()
+        i = line % len(lines)
+        if token is None:
+            del lines[i]
+        elif suffix == "A":
+            lines[i] = f"{token},{lines[i].split(',')[1]}"
+        else:
+            lines[i] = token
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stats", "--dataset", str(d), "--json"])
+    if code == 0:
+        assert json.loads(out.getvalue())["num_graphs"] >= 1
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}

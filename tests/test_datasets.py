@@ -106,11 +106,23 @@ class TestLoadTudataset:
         assert ds.graphs[0].num_vertices == 2
 
 
+class TestGraphDataset:
+    def test_features_size_validated(self):
+        graphs = (path_graph(3), path_graph(2))
+        labels = np.array([0, 1])
+        ds = GraphDataset("OK", graphs, labels, 2, features=(np.eye(3), np.eye(2)))
+        assert ds.features[1].shape == (2, 2)
+        with pytest.raises(ValueError, match="features must match graph sizes"):
+            GraphDataset("BAD", graphs, labels, 2, features=(np.eye(3), np.zeros((3, 2))))
+        with pytest.raises(ValueError, match="features must have one entry per graph"):
+            GraphDataset("BAD", graphs, labels, 2, features=(np.eye(3),))
+
+
 class TestFeaturize:
     def test_one_hot_degree_star(self, tmp_path):
         d = write_tu_dataset(tmp_path, "STAR", [star_graph(5)], [0])
         ds = featurize(load_tudataset(d), mode="one_hot_degree")
-        feats = ds.graphs[0].features
+        feats = ds.features[0]
         # Corpus max degree 5 -> dimension 6; center hot at 5, leaves at 1.
         assert feats.shape == (6, 6)
         assert feats[0, 5] == 1.0
@@ -119,26 +131,25 @@ class TestFeaturize:
     def test_vectors_exactly_one_hot(self, synth_dataset_dir):
         for mode in ("one_hot_label", "one_hot_degree"):
             ds = featurize(load_tudataset(synth_dataset_dir), mode=mode)
-            for g in ds.graphs:
-                assert np.all(g.features.sum(axis=1) == 1.0)
-                assert np.all((g.features == 0.0) | (g.features == 1.0))
+            for feats in ds.features:
+                assert np.all(feats.sum(axis=1) == 1.0)
+                assert np.all((feats == 0.0) | (feats == 1.0))
 
     def test_one_hot_label_corpus_vocabulary(self, synth_dataset_dir):
         ds = featurize(load_tudataset(synth_dataset_dir), mode="one_hot_label")
         # The fixture draws node labels from {0, 1, 2}.
-        assert all(g.features.shape[1] == 3 for g in ds.graphs)
-        raw = load_tudataset(synth_dataset_dir)
-        for g, labels in zip(ds.graphs, raw.node_labels):
-            assert np.array_equal(np.argmax(g.features, axis=1), labels)
+        assert all(feats.shape[1] == 3 for feats in ds.features)
+        for feats, labels in zip(ds.features, ds.node_labels):
+            assert np.array_equal(np.argmax(feats, axis=1), labels)
 
     def test_auto_prefers_labels(self, synth_dataset_dir):
         ds = featurize(load_tudataset(synth_dataset_dir), mode="auto")
-        assert ds.graphs[0].features.shape[1] == 3
+        assert ds.features[0].shape[1] == 3
 
     def test_auto_falls_back_to_degree(self, tmp_path):
         d = write_tu_dataset(tmp_path, "NOLAB", [star_graph(3)], [0])
         ds = featurize(load_tudataset(d), mode="auto")
-        assert ds.graphs[0].features.shape[1] == 4
+        assert ds.features[0].shape[1] == 4
 
     def test_label_mode_requires_labels(self, tmp_path):
         d = write_tu_dataset(tmp_path, "NOLAB", [star_graph(3)], [0])
@@ -148,7 +159,7 @@ class TestFeaturize:
     def test_degree_cap_overflow_top_bin(self, tmp_path):
         d = write_tu_dataset(tmp_path, "BIGSTAR", [star_graph(300)], [0])
         ds = featurize(load_tudataset(d), mode="one_hot_degree")
-        feats = ds.graphs[0].features
+        feats = ds.features[0]
         assert feats.shape[1] == DEGREE_CAP
         assert feats[0, DEGREE_CAP - 1] == 1.0  # degree 300 lands in the top bin
         assert feats[1, 1] == 1.0
@@ -190,8 +201,18 @@ class TestDatasetStats:
         else:
             graphs = [star_graph(300), path_graph(3)]
             ds = load_tudataset(write_tu_dataset(tmp_path, "NOLAB", graphs, [0, 1]))
-        width = featurize(ds).graphs[0].features.shape[1]
+        width = featurize(ds).features[0].shape[1]
         assert dataset_stats(ds).feature_dim == width
+
+    def test_feature_dim_ignores_featurized_mode(self, tmp_path):
+        """``feature_dim`` is the "auto" width even after ``featurize``
+        ran in another mode."""
+        graphs = [star_graph(4), path_graph(3)]
+        node_labels = [[0, 1, 0, 1, 0], [1, 0, 1]]
+        d = write_tu_dataset(tmp_path, "LAB", graphs, [0, 1], node_labels)
+        ds = featurize(load_tudataset(d), mode="one_hot_degree")
+        assert dataset_stats(ds).feature_dim == 2
+        assert ds.features[0].shape[1] == 5
 
     def test_to_dict_keys(self, synth_dataset_dir):
         doc = dataset_stats(load_tudataset(synth_dataset_dir)).to_dict()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgl import DisconnectedGraphError, Graph, connected_components, shortest_path_distances
 
@@ -32,13 +35,6 @@ class TestGraph:
     def test_degrees(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees().tolist() == [3, 1, 1, 1]
-
-    def test_features_shape_validated(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            g.with_features(np.zeros((2, 4)))
-        g2 = g.with_features(np.eye(3))
-        assert g2.features.shape == (3, 3)
 
 
 class TestShortestPaths:
@@ -107,3 +103,56 @@ class TestComponents:
         tail = comps[-1]
         assert tail.original_vertices.tolist() == [3, 4, 5]
         assert tail.graph.edges == frozenset({(0, 2), (1, 2)})
+
+
+# Property tests: networkx as an independent oracle for components and
+# hop distances.
+
+
+@st.composite
+def any_graph(draw):
+    """1-40 vertices with any edge set: a sparse draw, or the complement
+    of one for dense graphs; isolated vertices and several components
+    included."""
+    n = draw(st.integers(1, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    if draw(st.booleans()):
+        edges = set(pairs) - edges
+    return Graph.from_edges(n, edges)
+
+
+def _to_networkx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.num_vertices))
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=any_graph())
+def test_components_match_networkx(g):
+    nxg = _to_networkx(g)
+    expected = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
+    comps = connected_components(g)
+    assert [c.original_vertices.tolist() for c in comps] == expected
+    for comp, members in zip(comps, expected):
+        local = {v: i for i, v in enumerate(members)}
+        relabelled = {tuple(sorted((local[u], local[v]))) for u, v in nxg.subgraph(members).edges}
+        assert comp.graph.num_vertices == len(members)
+        assert comp.graph.edges == relabelled
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=any_graph())
+def test_distances_match_networkx(g):
+    nxg = _to_networkx(g)
+    if not nx.is_connected(nxg):
+        with pytest.raises(DisconnectedGraphError, match="unreachable from vertex"):
+            shortest_path_distances(g)
+        return
+    expected = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
+    for src, lengths in nx.all_pairs_shortest_path_length(nxg):
+        for dst, hops in lengths.items():
+            expected[src, dst] = hops
+    assert np.array_equal(shortest_path_distances(g).d, expected)

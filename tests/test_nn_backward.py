@@ -286,6 +286,25 @@ class TestParamsAndCheckpoints:
         with pytest.raises(ValueError, match="not a"):
             MsmCnn.load(path)
 
+    @pytest.mark.parametrize("header", [b"[1,2]", b"5", b'"gpgl-checkpoint"', b"null"])
+    def test_checkpoint_header_must_be_object(self, tmp_path, header):
+        path = tmp_path / "list.ckpt"
+        path.write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(ValueError, match="JSON object"):
+            MsmCnn.load(path)
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        model.save(path, epoch=3)
+        data = path.read_bytes()
+        path.write_bytes(data[:-4])
+        with pytest.raises(ValueError, match="payload"):
+            MsmCnn.load(path)
+        path.write_bytes(data[: data.index(b"\n") // 2])
+        with pytest.raises(ValueError):
+            MsmCnn.load(path)
+
     def test_save_deterministic_bytes(self, tmp_path):
         model = self._model()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
