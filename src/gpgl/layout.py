@@ -8,20 +8,19 @@ rounds the optimized coordinates to the grid.
 
 One pair kernel (``_PairKernel``, built once per vertex count) holds the
 loss and its gradient. It works on the unordered pairs i < j: a
-candidate's pair distances are computed once, checked for coincident
-pairs (distance exactly 0), and give both the stress and the penalty;
-the descent keeps the accepted candidate's distances and takes the next
-gradient from them. The losses sum over ordered pairs in row-major order
-by gathering the pair terms through a precomputed ordered-to-unordered
-index, and the gradient is formed from the full symmetric coefficient
-matrix, so every float equals that of a direct n x n evaluation.
+candidate's pair offsets and distances are computed once, checked for
+coincident pairs (distance exactly 0), and give both the stress and the
+penalty; the descent keeps the accepted candidate's offsets and takes
+the next gradient from them, scattering each pair's term onto both of
+its endpoints.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,9 +47,12 @@ _MAX_BACKTRACKS = 30
 # Displacement magnitude of the fixed fallback step taken when
 # backtracking cannot find a decrease (grid-cell units).
 _FALLBACK_DISPLACEMENT = 1e-6
-# Stop after this many consecutive iterations without meaningful decrease
-# (the iterate is pinned at a hinge kink and only dithering).
-_STALL_LIMIT = 50
+# A descent stops once its best loss fell by at most
+# _PROGRESS_TOL * max(1, |best|) over the last _PROGRESS_WINDOW
+# iterations: near a hinge kink the iterate only dithers, and a tighter
+# tolerance (1e-6) did not improve the rounded layouts.
+_PROGRESS_WINDOW = 50
+_PROGRESS_TOL = 1e-5
 
 # Compaction cycling for the penalized stage: squeeze toward the centroid
 # by this factor plus seeded noise, re-descend, keep strict improvements.
@@ -158,14 +160,21 @@ class LayoutParams:
 
 @dataclass(frozen=True)
 class LayoutDiagnostics:
-    """Per-layout record of how the optimization went."""
+    """Per-layout record of how the optimization went, summed over components.
+
+    ``stops`` counts the stress, penalized and polish descents by why they
+    stopped (see ``_descend``); reasons that never occurred are absent.
+    ``grid_stress`` is ``sum_{i<j} (|c_i - c_j| / s_ij - 1)^2`` over the
+    rounded cells c, colliding vertices at distance 0.
+    """
 
     kk_loss: float
     separation_penalty: float
     kk_iterations: int
     gpgl_iterations: int
     lost_vertices: int
-    converged: bool
+    stops: dict[str, int]
+    grid_stress: float
     components: int = 1
 
     @property
@@ -199,27 +208,26 @@ def circular_init(n: int, seed: int) -> Layout:
 class _PairKernel:
     """The layout loss and its gradient over the unordered pairs i < j.
 
-    ``i`` and ``j`` list the pairs in row-major order. ``ordered`` maps
-    each ordered pair (row-major over the off-diagonal) to its unordered
-    index. ``upper`` and ``lower`` are the flat n x n positions of (i, j)
-    and (j, i).
+    ``i`` and ``j`` list the pairs in row-major order. ``slots`` is the
+    flat ``(vertex, axis)`` position of each term of the gradient
+    scatter: the x then y parts at the i ends, then at the j ends.
     """
 
+    n: int
     i: np.ndarray
     j: np.ndarray
-    ordered: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
+    slots: np.ndarray
 
     def pair_values(self, matrix: np.ndarray) -> np.ndarray:
         """Entries (i, j) of a symmetric matrix, as floats."""
         return matrix[self.i, self.j].astype(np.float64)
 
-    def distances(self, coords: np.ndarray) -> np.ndarray:
+    def distances(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair offsets ``(dx, dy)`` of i from j, and their lengths."""
         x, y = coords[:, 0], coords[:, 1]
         dx = x[self.i] - x[self.j]
         dy = y[self.i] - y[self.j]
-        return np.sqrt(dx * dx + dy * dy)
+        return dx, dy, np.hypot(dx, dy)
 
     def check_separated(self, dist: np.ndarray) -> None:
         """Raise on a pair at distance exactly 0."""
@@ -228,49 +236,52 @@ class _PairKernel:
             raise CoincidentVerticesError(f"vertices {self.i[k]} and {self.j[k]} coincide")
 
     def stress(self, dist: np.ndarray, hops: np.ndarray) -> float:
-        return float(0.5 * np.sum(((dist / hops - 1.0) ** 2)[self.ordered]))
+        return float(np.sum((dist / hops - 1.0) ** 2))
 
     def penalty(self, dist: np.ndarray, alpha: float, lam: float) -> float:
-        return float(lam * np.maximum(0.0, alpha / dist - 1.0)[self.ordered].sum())
+        return float(2.0 * lam * np.maximum(0.0, alpha / dist - 1.0).sum())
 
     def evaluate(
         self, coords: np.ndarray, hops: np.ndarray, alpha: float, lam: float
-    ) -> tuple[float, float, float, np.ndarray]:
-        """(total, stress, penalty, distances); raises on coincident pairs."""
-        dist = self.distances(coords)
+    ) -> tuple[float, float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(total, stress, penalty, pairs); ``pairs`` is ``distances``'s
+        result. Raises on coincident pairs."""
+        pairs = self.distances(coords)
+        dist = pairs[2]
         self.check_separated(dist)
         kk = self.stress(dist, hops)
         sep = self.penalty(dist, alpha, lam) if lam > 0.0 else 0.0
-        return kk + sep, kk, sep, dist
+        return kk + sep, kk, sep, pairs
 
     def gradient(
-        self, coords: np.ndarray, dist: np.ndarray, hops: np.ndarray, alpha: float, lam: float
+        self,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+        hops: np.ndarray,
+        alpha: float,
+        lam: float,
     ) -> np.ndarray:
-        """Exact gradient of ``evaluate``'s total at ``coords``.
+        """Exact gradient of ``evaluate``'s total at the coordinates that
+        gave ``pairs``.
 
-        Ordered-pair summation doubles each unordered pair, so the gradient
-        of the pair (i, j) term lands on both endpoints with factor 2. The
-        hinge uses the one-sided zero derivative at ``d_ij >= alpha``.
+        The pair (i, j) term's gradient is a coefficient times the offset
+        of i from j on vertex i, and its negation on vertex j. The hinge
+        uses the one-sided zero derivative at ``d_ij >= alpha``.
         """
-        pair_coef = 2.0 * (dist / hops - 1.0) / (hops * dist)
+        dx, dy, dist = pairs
+        coef = 2.0 * (dist / hops - 1.0) / (hops * dist)
         if lam > 0.0:
             active = dist < alpha
-            pair_coef[active] -= 2.0 * lam * alpha / dist[active] ** 3
-        n = coords.shape[0]
-        coef = np.zeros(n * n)
-        coef[self.upper] = pair_coef
-        coef[self.lower] = pair_coef
-        coef = coef.reshape(n, n)
-        return coef.sum(axis=1)[:, None] * coords - coef @ coords
+            coef[active] -= 2.0 * lam * alpha / dist[active] ** 3
+        fx, fy = coef * dx, coef * dy
+        terms = np.concatenate([fx, fy, -fx, -fy])
+        return np.bincount(self.slots, terms, minlength=2 * self.n).reshape(self.n, 2)
 
 
 @functools.lru_cache(maxsize=32)
 def _pair_kernel(n: int) -> _PairKernel:
     i, j = np.triu_indices(n, 1)
-    index = np.zeros((n, n), dtype=np.intp)
-    index[i, j] = index[j, i] = np.arange(i.size)
-    kernel = _PairKernel(i, j, index[~np.eye(n, dtype=bool)], i * n + j, j * n + i)
-    for arr in (kernel.i, kernel.j, kernel.ordered, kernel.upper, kernel.lower):
+    kernel = _PairKernel(n, i, j, np.concatenate([2 * i, 2 * i + 1, 2 * j, 2 * j + 1]))
+    for arr in (kernel.i, kernel.j, kernel.slots):
         arr.setflags(write=False)
     return kernel
 
@@ -278,8 +289,8 @@ def _pair_kernel(n: int) -> _PairKernel:
 def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     """Stress of a layout against graph distances.
 
-    Sums ``0.5 * (d_ij / s_ij - 1)^2`` over ordered vertex pairs, so each
-    unordered pair contributes twice. Zero exactly when every Euclidean
+    Sums ``(d_ij / s_ij - 1)^2`` over unordered vertex pairs i < j (half
+    the sum over ordered pairs). Zero exactly when every Euclidean
     distance matches its hop distance.
     """
     if layout.n != s.n:
@@ -287,20 +298,21 @@ def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
     kernel = _pair_kernel(layout.n)
-    return kernel.stress(kernel.distances(layout.coords), kernel.pair_values(s.d))
+    return kernel.stress(kernel.distances(layout.coords)[2], kernel.pair_values(s.d))
 
 
 def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
     """Hinge penalty on vertex pairs closer than ``alpha``.
 
-    Sums ``lam * max(0, alpha / d_ij - 1)`` over ordered pairs. Zero if
-    and only if every pairwise distance is at least ``alpha``; grows
-    without bound as any pair approaches coincidence.
+    Sums ``lam * max(0, alpha / d_ij - 1)`` over ordered pairs, that is
+    ``2 lam`` times the sum over unordered pairs i < j. Zero if and only
+    if every pairwise distance is at least ``alpha``; grows without bound
+    as any pair approaches coincidence.
     """
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
     kernel = _pair_kernel(layout.n)
-    dist = kernel.distances(layout.coords)
+    dist = kernel.distances(layout.coords)[2]
     kernel.check_separated(dist)
     return kernel.penalty(dist, alpha, lam)
 
@@ -308,10 +320,11 @@ def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
 @dataclass
 class _StageStats:
     iterations: int = 0
-    converged: bool = False
     loss: float = 0.0
     kk: float = 0.0
     sep: float = 0.0
+    # Why each descent of the stage stopped, as counts per reason.
+    stops: Counter = field(default_factory=Counter)
 
 
 def _descend(
@@ -319,26 +332,33 @@ def _descend(
 ) -> tuple[np.ndarray, _StageStats]:
     """Full-gradient descent with Armijo backtracking.
 
-    Returns the best iterate seen, so the reported loss never exceeds the
-    starting loss even when fallback steps wander uphill.
+    Stops for one of four reasons, recorded in ``stops``: ``grad_tol``
+    (the gradient max-norm is at most ``p.grad_tol``), ``progress`` (the
+    best loss fell by at most ``_PROGRESS_TOL * max(1, |best|)`` over the
+    last ``_PROGRESS_WINDOW`` iterations), ``max_iters``, or ``blocked``
+    (the fallback step would make two vertices coincide). Returns the
+    best iterate seen, so the reported loss never exceeds the starting
+    loss even when fallback steps wander uphill.
     """
     kernel = _pair_kernel(coords0.shape[0])
     hops = kernel.pair_values(s)
     x = coords0.copy()
-    f, kk, sep, dist = kernel.evaluate(x, hops, alpha, lam)
-    grad = kernel.gradient(x, dist, hops, alpha, lam)
+    f, kk, sep, pairs = kernel.evaluate(x, hops, alpha, lam)
+    grad = kernel.gradient(pairs, hops, alpha, lam)
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         raise NonFiniteLossError(f"non-finite loss at initialization: {f}")
 
     best_x, best = x.copy(), _StageStats(loss=f, kk=kk, sep=sep)
+    # best_losses[k] is the best loss after k iterations.
+    best_losses = [f]
     step = 1.0
-    stalled = 0
-    stats = _StageStats(loss=f, kk=kk, sep=sep)
+    stats = _StageStats()
+    reason = "max_iters"
 
     for _ in range(p.max_iters):
         gmax = float(np.abs(grad).max())
         if gmax <= p.grad_tol:
-            stats.converged = True
+            reason = "grad_tol"
             break
         gsq = float((grad * grad).sum())
 
@@ -347,7 +367,7 @@ def _descend(
         for _ in range(_MAX_BACKTRACKS):
             cand = x - t * grad
             try:
-                f_c, kk_c, sep_c, dist_c = kernel.evaluate(cand, hops, alpha, lam)
+                f_c, kk_c, sep_c, pairs_c = kernel.evaluate(cand, hops, alpha, lam)
             except CoincidentVerticesError:
                 t *= 0.5
                 continue
@@ -364,28 +384,31 @@ def _descend(
             t = _FALLBACK_DISPLACEMENT / gmax
             cand = x - t * grad
             try:
-                f_c, kk_c, sep_c, dist_c = kernel.evaluate(cand, hops, alpha, lam)
+                f_c, kk_c, sep_c, pairs_c = kernel.evaluate(cand, hops, alpha, lam)
             except CoincidentVerticesError:
+                reason = "blocked"
                 break
             step = max(t * 2.0, _FALLBACK_DISPLACEMENT)
 
-        if f - f_c <= 1e-12 * max(1.0, abs(f)):
-            stalled += 1
-        else:
-            stalled = 0
-
-        x, f, kk, sep, dist = cand, f_c, kk_c, sep_c, dist_c
+        x, f, kk, sep, pairs = cand, f_c, kk_c, sep_c, pairs_c
         stats.iterations += 1
         if not np.isfinite(f):
             raise NonFiniteLossError(f"loss diverged to {f}")
         if f < best.loss:
             best_x = x.copy()
             best.loss, best.kk, best.sep = f, kk, sep
-        if stalled >= _STALL_LIMIT:
+        best_losses.append(best.loss)
+        if (
+            stats.iterations >= _PROGRESS_WINDOW
+            and best_losses[-1 - _PROGRESS_WINDOW] - best.loss
+            <= _PROGRESS_TOL * max(1.0, abs(best.loss))
+        ):
+            reason = "progress"
             break
-        grad = kernel.gradient(x, dist, hops, alpha, lam)
+        grad = kernel.gradient(pairs, hops, alpha, lam)
 
     stats.loss, stats.kk, stats.sep = best.loss, best.kk, best.sep
+    stats.stops[reason] += 1
     return best_x, stats
 
 
@@ -421,12 +444,12 @@ def _descend_polished(
                 break
             continue
         stats.iterations += round_stats.iterations
+        stats.stops += round_stats.stops
         if round_stats.loss < stats.loss - 1e-9:
             x_best = x_round
             stats.loss = round_stats.loss
             stats.kk = round_stats.kk
             stats.sep = round_stats.sep
-            stats.converged = round_stats.converged
             stale = 0
         else:
             stale += 1
@@ -441,9 +464,8 @@ def gpgl_loss_and_grad(
     """Combined stress plus separation penalty and its analytic gradient.
 
     The gradient is the exact derivative of the value actually computed,
-    including the ``alpha`` factor from differentiating the hinge and the
-    ordered-pair doubling; finite differences agree to first order
-    everywhere off the hinge kinks.
+    including the ``alpha`` factor from differentiating the hinge; finite
+    differences agree to first order everywhere off the hinge kinks.
     """
     if layout.n != s.n:
         raise ValueError(f"layout has {layout.n} vertices, distances have {s.n}")
@@ -451,8 +473,8 @@ def gpgl_loss_and_grad(
         raise ValueError("need at least 2 vertices")
     kernel = _pair_kernel(layout.n)
     hops = kernel.pair_values(s.d)
-    f, _, _, dist = kernel.evaluate(layout.coords, hops, p.alpha, p.lam)
-    return f, kernel.gradient(layout.coords, dist, hops, p.alpha, p.lam)
+    f, _, _, pairs = kernel.evaluate(layout.coords, hops, p.alpha, p.lam)
+    return f, kernel.gradient(pairs, hops, p.alpha, p.lam)
 
 
 def rescale_layout(layout: Layout, p: LayoutParams) -> Layout:
@@ -464,7 +486,7 @@ def rescale_layout(layout: Layout, p: LayoutParams) -> Layout:
     """
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
-    dist = _pair_kernel(layout.n).distances(layout.coords)
+    dist = _pair_kernel(layout.n).distances(layout.coords)[2]
     beta = max(p.gamma, float(dist.min()))
     if beta == 0.0:
         return layout
@@ -476,10 +498,12 @@ def minimize(layout0: Layout, s: DistanceMatrix, p: LayoutParams) -> Layout:
     """Minimize the combined loss starting from ``layout0``.
 
     Descends the full gradient with Armijo backtracking until the gradient
-    max-norm drops below ``p.grad_tol``, the iteration cap is hit, or
-    progress stalls at a hinge kink; when the separation penalty is active
-    the result is refined by compaction cycling. The returned layout never
-    has higher loss than the input. Deterministic for fixed inputs.
+    max-norm drops to ``p.grad_tol``, the iteration cap is hit, the best
+    loss stops improving over a window of iterations, or the fallback
+    step is blocked by a coincident pair; when the separation penalty is
+    active the result is refined by compaction cycling. The returned
+    layout never has higher loss than the input. Deterministic for fixed
+    inputs.
     """
     if layout0.n != s.n:
         raise ValueError(f"layout has {layout0.n} vertices, distances have {s.n}")
@@ -546,7 +570,7 @@ def _layout_connected(
     """
     n = g.num_vertices
     if n == 1:
-        diag = LayoutDiagnostics(0.0, 0.0, 0, 0, 0, True)
+        diag = LayoutDiagnostics(0.0, 0.0, 0, 0, 0, {}, 0.0)
         return GridLayout(np.zeros((1, 2), dtype=np.int64)), diag
 
     s = shortest_path_distances(g)
@@ -557,13 +581,16 @@ def _layout_connected(
     coords, gp_stats = _descend_polished(kk_coords, s.d, p.alpha, p.lam, p)
 
     grid, lost = _round_best_phase(coords)
+    kernel = _pair_kernel(n)
+    grid_dist = kernel.distances(grid.cells.astype(np.float64))[2]
     diag = LayoutDiagnostics(
         kk_loss=gp_stats.kk,
         separation_penalty=gp_stats.sep,
         kk_iterations=kk_stats.iterations,
         gpgl_iterations=gp_stats.iterations,
         lost_vertices=lost,
-        converged=gp_stats.converged,
+        stops=kk_stats.stops + gp_stats.stops,
+        grid_stress=kernel.stress(grid_dist, kernel.pair_values(s.d)),
     )
     return grid, diag
 
@@ -573,15 +600,15 @@ def layout_graph(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnosti
 
     Each connected component is laid out independently (same parameters
     and seed) and the component layouts are packed left to right,
-    separated by one empty column; losses and iteration counts are
-    summed. A connected graph is the one-component case.
+    separated by one empty column; the diagnostics are summed. A
+    connected graph is the one-component case.
     """
     comps = connected_components(g)
     cells = np.zeros((g.num_vertices, 2), dtype=np.int64)
     col_offset = 0
-    kk_total = sep_total = 0.0
+    kk_total = sep_total = grid_stress = 0.0
     kk_iters = gp_iters = lost = 0
-    converged = True
+    stops = Counter()
     for comp in comps:
         grid, diag = _layout_connected(comp.graph, p)
         placed = grid.cells.copy()
@@ -593,7 +620,8 @@ def layout_graph(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnosti
         kk_iters += diag.kk_iterations
         gp_iters += diag.gpgl_iterations
         lost += diag.lost_vertices
-        converged = converged and diag.converged
+        stops.update(diag.stops)
+        grid_stress += diag.grid_stress
 
     diag = LayoutDiagnostics(
         kk_loss=kk_total,
@@ -601,7 +629,8 @@ def layout_graph(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnosti
         kk_iterations=kk_iters,
         gpgl_iterations=gp_iters,
         lost_vertices=lost,
-        converged=converged,
+        stops=dict(sorted(stops.items())),
+        grid_stress=grid_stress,
         components=len(comps),
     )
     return GridLayout(cells), diag

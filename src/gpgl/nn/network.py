@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +173,18 @@ class MsmCnn:
         header, payload = read_framed(path)
         if header.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"not a {_CHECKPOINT_FORMAT} file")
-        config = NetworkConfig(**header["config"])
+        for name in ("in_channels", "num_classes", "epoch"):
+            value = header.get(name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"checkpoint field {name!r} must be an integer, got {value!r}")
+        config = header.get("config")
+        names = {f.name for f in fields(NetworkConfig)}
+        if not isinstance(config, dict) or set(config) != names:
+            raise ValueError(f"checkpoint field 'config' must be an object with keys {sorted(names)}")
+        try:
+            config = NetworkConfig(**config)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint field 'config': {exc}") from exc
         model = cls(header["in_channels"], header["num_classes"], config)
         expected = model.num_params * 4
         if len(payload) != expected:

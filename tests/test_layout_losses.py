@@ -192,9 +192,8 @@ near_offset = st.floats(1e-9, 1e-4) | st.floats(-1e-4, -1e-9)
 def graph_and_layout(draw, near_coincident: bool):
     n = draw(st.integers(2, 10))
     g = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-    # On a 1e-9 grid: a squared difference below the smallest float (a
-    # difference under ~1e-162) would read as distance 0 to the library
-    # but not to the oracle's hypot.
+    # On a 1e-9 grid; separations far below it are drawn by
+    # tiny_separation_layout.
     coords = np.round(
         np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))), 9
     )
@@ -258,3 +257,36 @@ def test_gradient_matches_fd_of_loop_oracles(case):
     _, grad = gpgl_loss_and_grad(Layout(coords), s, LayoutParams(alpha=ALPHA, lam=lam))
     fd = fd_gradient(oracle, coords, h=1e-6)
     assert np.all(np.abs(grad - fd) <= 1e-5 * np.maximum(np.abs(fd), 1.0))
+
+
+@st.composite
+def tiny_separation_layout(draw):
+    """Vertex 0 at the origin, vertex 1 between 1e-300 and 1e-150 from it
+    (its squared offset underflows), the rest on distinct lattice sites."""
+    n = draw(st.integers(2, 8))
+    sites = draw(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(-5, 5)), min_size=n - 2, max_size=n - 2, unique=True)
+    )
+    r = draw(st.floats(1e-300, 1e-150))
+    theta = draw(st.floats(0.0, 2.0 * np.pi))
+    coords = np.array([(0.0, 0.0), (r * np.cos(theta), r * np.sin(theta)), *sites], dtype=float)
+    g = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return shortest_path_distances(g), coords
+
+
+def test_tiny_separation_is_not_coincidence():
+    lay = Layout(np.array([[0.0, 0.0], [0.0, 1.03e-302]]))
+    expected = separation_penalty_loops(lay.coords, ALPHA, LAM)
+    assert np.isfinite(expected)
+    assert separation_penalty(lay, ALPHA, LAM) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tiny_separation_layout())
+def test_tiny_separations_match_loop_oracles(case):
+    s, coords = case
+    lay = Layout(coords)
+    expected_kk = kk_loss_loops(coords, s.d.astype(float))
+    assert kk_loss(lay, s) == pytest.approx(expected_kk, rel=1e-12, abs=1e-12)
+    expected_sep = separation_penalty_loops(coords, ALPHA, LAM)
+    assert separation_penalty(lay, ALPHA, LAM) == pytest.approx(expected_sep, rel=1e-12)

@@ -223,7 +223,7 @@ class TestGpglLayout:
         grid, diag = layout_graph(Graph(1, ()), LayoutParams())
         assert np.array_equal(grid.cells, np.array([[0, 0]]))
         assert diag.lost_vertices == 0
-        assert diag.converged
+        assert diag.stops == {}
         assert diag.total_loss == 0.0
 
     def test_edge_graph_adjacent_cells(self):
@@ -257,6 +257,31 @@ class TestGpglLayout:
         a, _ = layout_graph(g, LayoutParams(seed=2))
         b, _ = layout_graph(g, LayoutParams(seed=2))
         assert np.array_equal(a.cells, b.cells)
+
+
+class TestStopReasons:
+    """``LayoutDiagnostics.stops`` counts why each descent stopped."""
+
+    def test_two_vertex_stress_reaches_grad_tol(self):
+        # Stress stage, then a penalized stage with lam = 0 that starts at
+        # the minimum: both stop on the gradient norm.
+        _, diag = layout_graph(path_graph(2), LayoutParams(lam=0.0))
+        assert diag.stops == {"grad_tol": 2}
+
+    def test_iteration_cap(self):
+        g = random_connected_graph(12, np.random.default_rng(3))
+        _, diag = layout_graph(g, LayoutParams(max_iters=5))
+        assert set(diag.stops) == {"max_iters"}
+        assert diag.kk_iterations + diag.gpgl_iterations == 5 * diag.stops["max_iters"]
+
+    def test_molecule_size_graph_stops_on_progress(self):
+        p = LayoutParams()
+        for seed in range(3):
+            g = random_connected_graph(20, np.random.default_rng(seed))
+            _, diag = layout_graph(g, p)
+            assert set(diag.stops) == {"progress"}
+            per_descent = (diag.kk_iterations + diag.gpgl_iterations) / diag.stops["progress"]
+            assert per_descent < p.max_iters / 4
 
 
 class TestLayoutGraph:
@@ -314,6 +339,15 @@ def test_layout_graph_any_small_graph(g, seed):
     nxg.add_edges_from(g.edges)
     assert diag.components == nx.number_connected_components(nxg)
     assert diag.lost_vertices == g.num_vertices - len(grid.occupied_cells())
+    # Grid stress: per component, colliding vertices at distance 0.
+    hops = dict(nx.all_pairs_shortest_path_length(nxg))
+    expected = 0.0
+    for u in range(g.num_vertices):
+        for v in range(u + 1, g.num_vertices):
+            if v in hops[u]:
+                cell_dist = math.hypot(*(grid.cells[u] - grid.cells[v]))
+                expected += (cell_dist / hops[u][v] - 1.0) ** 2
+    assert diag.grid_stress == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestGridLayoutType:

@@ -1,5 +1,7 @@
 """Gradient checks: every backward pass against central finite differences."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,30 @@ class TestParamsAndCheckpoints:
         path = tmp_path / "list.ckpt"
         path.write_bytes(header + b"\n" + bytes(8))
         with pytest.raises(ValueError, match="JSON object"):
+            MsmCnn.load(path)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("config", lambda h: h.pop("config")),
+            ("config", lambda h: h.update(config=5)),
+            ("config", lambda h: h.update(config={"bogus": 1})),
+            ("config", lambda h: h["config"].update(scales="3")),
+            ("in_channels", lambda h: h.pop("in_channels")),
+            ("in_channels", lambda h: h.update(in_channels="2")),
+            ("num_classes", lambda h: h.update(num_classes=3.0)),
+            ("epoch", lambda h: h.pop("epoch")),
+            ("epoch", lambda h: h.update(epoch=True)),
+        ],
+    )
+    def test_checkpoint_header_fields_checked(self, tmp_path, field, edit):
+        path = tmp_path / "model.ckpt"
+        self._model().save(path, epoch=1)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=field):
             MsmCnn.load(path)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
