@@ -24,6 +24,7 @@ from .augment import AugmentedSet, augment
 from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, load_tudataset
 from .errors import GpglError
 from .graph import Graph
+from .grid import DEFAULT_WINDOW
 from .layout import LayoutParams, layout_graph
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
@@ -165,7 +166,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     sets = _augment_dataset(ds, p, args.k, _resolve_jobs(args))
     window = _parse_window(args.window)
-    entries = export_tensors(sets, ds, args.out, window=window, merge=args.merge)
+    entries = export_tensors(sets, ds, args.out, window=window)
     elapsed = time.perf_counter() - start
     summary = _summary(sets, ds, elapsed)
     summary["tensors"] = len(entries)
@@ -277,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "one_hot_label", "one_hot_degree"),
         default="auto",
     )
-    p_exp.add_argument("--window", default="64", help="window size, N or HxW")
-    p_exp.add_argument("--merge", choices=("average", "max"), default="average")
+    p_exp.add_argument("--window", default="%dx%d" % DEFAULT_WINDOW, help="window size, N or HxW")
     _add_layout_flags(p_exp)
     _add_jobs_flag(p_exp)
     p_exp.set_defaults(func=_cmd_export)

@@ -140,8 +140,8 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
 
     Vertex and graph numbering in the files is 1-based. Duplicate and
     reversed edge listings collapse to one undirected edge. Malformed
-    lines raise DatasetParseError carrying the file and line number;
-    vertex indices outside 1..N raise IndexError.
+    lines and self-loops raise DatasetParseError carrying the file and
+    line number; vertex indices outside 1..N raise IndexError.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -206,6 +206,10 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
                     f"{edges_path.name}:{i + 1}: vertex {endpoint} out of "
                     f"range 1..{num_nodes}"
                 )
+        if u == v:
+            raise DatasetParseError(
+                f"self-loop on vertex {u}", path=str(edges_path), line=i + 1
+            )
         gu, gv = indicator[u - 1], indicator[v - 1]
         if gu != gv:
             raise DatasetParseError(
@@ -337,13 +341,14 @@ def export_tensors(
     ds: GraphDataset,
     path: str | Path,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    merge: str = "average",
 ) -> list[ManifestEntry]:
     """Write the grid tensors of augmented layouts to a container.
 
     Failed layout runs are skipped, so the container count is the number
-    of successful runs. The manifest sidecar is written next to the
-    container. Returns the manifest entries.
+    of successful runs. Each tensor is built straight into its slot of
+    the one ``(N, H, W, F)`` batch that is written out. The manifest
+    sidecar is written next to the container. Returns the manifest
+    entries.
     """
     runs = [
         (s.graph_id, lay) for s in sets for lay in s.successful()
@@ -352,13 +357,11 @@ def export_tensors(
         raise ValueError("nothing to export: no successful layouts")
     if ds.features is None:
         raise ValueError(f"dataset {ds.name!r} has no features; run featurize first")
-    tensors = []
+    tensors = np.empty((len(runs), *window, ds.features[0].shape[1]), dtype=np.float32)
     entries = []
-    for graph_id, lay in runs:
+    for i, (graph_id, lay) in enumerate(runs):
         try:
-            tensors.append(
-                build_grid_tensor(lay.grid, ds.features[graph_id], window=window, merge=merge)
-            )
+            tensors[i] = build_grid_tensor(lay.grid, ds.features[graph_id], window=window)
         except WindowOverflowError as exc:
             raise WindowOverflowError(str(exc), graph_id=graph_id) from None
         entries.append(
@@ -368,6 +371,6 @@ def export_tensors(
                 label=int(ds.labels[graph_id]),
             )
         )
-    write_container(path, np.stack(tensors))
+    write_container(path, tensors)
     write_manifest(manifest_path_for(path), entries)
     return entries

@@ -3,8 +3,8 @@
 A grid layout plus per-vertex feature vectors becomes a fixed-size
 ``H x W x F`` volume: each vertex writes its feature vector into its
 cell, empty cells stay zero, and vertices that collided on one cell are
-merged by average or max pooling. How many vertices collided is counted
-once, by the layout's phase scan (``LayoutDiagnostics.lost_vertices``).
+averaged. How many vertices collided is counted once, by the layout's
+phase scan (``LayoutDiagnostics.lost_vertices``).
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ def build_grid_tensor(
     gl: GridLayout,
     features: np.ndarray,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    merge: str = "average",
 ) -> np.ndarray:
     """Place vertex features on the grid window; return ``(H, W, F)`` float32.
 
     The layout is aligned to the top-left corner: layout cell (0, 0) is
     window cell (0, 0) and the rest of the window is zero-padded. When
-    several vertices share a cell their feature vectors are pooled by
-    ``merge`` ("average" or "max").
+    several vertices share a cell the cell holds the mean of their
+    feature vectors.
 
     Raises
     ------
@@ -41,8 +40,6 @@ def build_grid_tensor(
         than a silent crop; cropping would lose vertices without showing
         up in the lost-vertex count.
     """
-    if merge not in ("average", "max"):
-        raise ValueError(f"merge must be 'average' or 'max', got {merge!r}")
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != gl.n:
         raise ValueError(
@@ -61,7 +58,5 @@ def build_grid_tensor(
 
     data = np.zeros((height, width, feats.shape[1]), dtype=np.float32)
     for (r, c), members in by_cell.items():
-        group = feats[members]
-        pooled = group.mean(axis=0) if merge == "average" else group.max(axis=0)
-        data[r, c] = pooled.astype(np.float32)
+        data[r, c] = feats[members].mean(axis=0)
     return data

@@ -187,6 +187,7 @@ def _train_one_fold(
     is_test = np.isin(graph_ids, test_graphs)
     train_idx = np.flatnonzero(~is_test)
     test_idx = np.flatnonzero(is_test)
+    held_out = (tensors[test_idx], labels[test_idx], graph_ids[test_idx])
     # Distinct seed per fold so fold models do not share initial weights.
     model = MsmCnn(
         tensors.shape[3], num_classes, replace(config, seed=config.seed + fold)
@@ -214,9 +215,7 @@ def _train_one_fold(
             optimizer.step()
             epoch_loss += loss * batch.size
         train_losses.append(epoch_loss / order.size)
-        val_loss, layout_hits, graph_hits, _ = evaluate(
-            model, tensors[test_idx], labels[test_idx], graph_ids[test_idx]
-        )
+        val_loss, layout_hits, graph_hits, _ = evaluate(model, *held_out)
         val_losses.append(val_loss)
         if val_loss < best_val - 1e-6:
             best_val = val_loss
@@ -232,9 +231,7 @@ def _train_one_fold(
     # epoch ran, or none beat the initial weights, are they scored here.
     model.set_flat_params(best_params)
     if best_hits is None:
-        best_hits = evaluate(
-            model, tensors[test_idx], labels[test_idx], graph_ids[test_idx]
-        )[1:3]
+        best_hits = evaluate(model, *held_out)[1:3]
     layout_hits, graph_hits = best_hits
     result = FoldResult(
         fold=fold,

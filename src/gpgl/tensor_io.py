@@ -82,12 +82,14 @@ def write_json(path: str | Path, doc: object) -> None:
 
 def write_framed(path: str | Path, header: dict, arrays: Iterable[np.ndarray]) -> None:
     """Write ``header`` as one line of compact sorted-key JSON, then each
-    array as raw little-endian float32, through ``atomic_open``."""
+    array as raw little-endian float32, through ``atomic_open``. An array
+    that is already contiguous ``<f4`` is written from its own buffer,
+    without a copy."""
     with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
         fh.write(b"\n")
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def read_framed(path: str | Path) -> tuple[dict, bytes]:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, write_tu_dataset
-from gpgl.cli import _config_from_args, _params_from_args, build_parser, main
+from gpgl.cli import _config_from_args, _params_from_args, _parse_window, build_parser, main
+from gpgl.grid import DEFAULT_WINDOW
 from gpgl.layout import LayoutParams
 from gpgl.nn.network import NetworkConfig
 from gpgl.tensor_io import (
@@ -58,6 +61,45 @@ class TestDefaults:
     def test_train_flags(self):
         args = build_parser().parse_args(["train", "--tensors", "t"])
         assert _config_from_args(args) == NetworkConfig()
+
+    def test_export_window(self):
+        args = build_parser().parse_args(["export", "--dataset", "d", "--out", "o"])
+        assert _parse_window(args.window) == DEFAULT_WINDOW
+
+    def test_export_has_no_merge_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["export", "--dataset", "d", "--out", "o", "--merge", "max"]
+            )
+        assert exc.value.code == 2
+        assert "--merge" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The arguments after ``gpgl`` of every command line in the shell
+    blocks of the README's CLI section, backslash continuations joined."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", section, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line, comments=True)
+            if "gpgl" in tokens:
+                commands.append(tokens[tokens.index("gpgl") + 1 :])
+    return commands
+
+
+def test_readme_covers_every_subcommand():
+    assert {argv[0] for argv in _readme_cli_commands()} == {
+        "stats", "layout", "augment", "export", "train", "render"
+    }
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    build_parser().parse_args(argv)
 
 
 class TestLayoutCommand:

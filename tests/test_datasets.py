@@ -1,7 +1,14 @@
 """Tests for the benchmark loader, featurization, stats, and tensor export."""
 
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cycle_graph,
@@ -21,6 +28,7 @@ from gpgl.datasets import (
 )
 from gpgl.errors import DatasetParseError, MissingNodeLabelsError
 from gpgl.graph import Graph
+from gpgl.grid import build_grid_tensor
 from gpgl.layout import LayoutParams
 from gpgl.tensor_io import read_container, read_manifest
 
@@ -79,6 +87,24 @@ class TestLoadTudataset:
         path.write_text(path.read_text() + "1, 99\n")
         with pytest.raises(IndexError):
             load_tudataset(d)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_self_loop_reports_line_and_vertex(self, data):
+        graphs = [path_graph(3), cycle_graph(4), path_graph(2)]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = write_tu_dataset(Path(tmp), "LOOP", graphs, [0, 1, 0])
+            path = d / "LOOP_A.txt"
+            lines = path.read_text().splitlines()
+            i = data.draw(st.integers(0, len(lines) - 1), label="line index")
+            v = data.draw(st.integers(1, 9), label="vertex")
+            lines[i] = f"{v}, {v}"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DatasetParseError) as err:
+                load_tudataset(d)
+        assert err.value.line == i + 1
+        assert f"self-loop on vertex {v} " in str(err.value)
+        assert f"LOOP_A.txt:{i + 1}" in str(err.value)
 
     def test_edge_crossing_graphs(self, tmp_path):
         d = write_tu_dataset(tmp_path, "CROSS", [path_graph(2), path_graph(2)], [0, 1])
@@ -252,6 +278,48 @@ class TestExportTensors:
         export_tensors(sets, ds, a, window=(16, 16))
         export_tensors(sets, ds, b, window=(16, 16))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_container_bytes_are_stacked_tensors(self, synth_dataset_dir, tmp_path):
+        ds = featurize(load_tudataset(synth_dataset_dir))
+        sets = [
+            augment(g, LayoutParams(max_iters=60), 2, graph_id=i)
+            for i, g in enumerate(ds.graphs[:3])
+        ]
+        out = tmp_path / "c.gt"
+        export_tensors(sets, ds, out, window=(16, 12))
+        stacked = np.stack(
+            [
+                build_grid_tensor(lay.grid, ds.features[s.graph_id], window=(16, 12))
+                for s in sets
+                for lay in s.successful()
+            ]
+        )
+        n, h, w, f = stacked.shape
+        header = {
+            "channels": f,
+            "count": n,
+            "dtype": "f32",
+            "height": h,
+            "order": "row-major, channel-last",
+            "width": w,
+        }
+        expected = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        assert out.read_bytes() == expected + b"\n" + stacked.astype("<f4").tobytes()
+
+    def test_peak_memory_is_one_container(self, synth_dataset_dir, tmp_path):
+        ds = featurize(load_tudataset(synth_dataset_dir))
+        sets = [
+            augment(g, LayoutParams(max_iters=60), 2, graph_id=i)
+            for i, g in enumerate(ds.graphs)
+        ]
+        tracemalloc.start()
+        try:
+            entries = export_tensors(sets, ds, tmp_path / "m.gt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        container = len(entries) * 64 * 64 * ds.features[0].shape[1] * 4
+        assert peak <= 1.5 * container
 
     def test_empty_rejected(self, synth_dataset_dir, tmp_path):
         ds = featurize(load_tudataset(synth_dataset_dir))

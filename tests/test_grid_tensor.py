@@ -34,14 +34,8 @@ class TestBuildGridTensor:
     def test_merge_average(self):
         gl = _layout([[0, 0], [0, 0]])
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        tensor = build_grid_tensor(gl, feats, window=(4, 4), merge="average")
+        tensor = build_grid_tensor(gl, feats, window=(4, 4))
         assert np.allclose(tensor[0, 0], [0.5, 0.5])
-
-    def test_merge_max(self):
-        gl = _layout([[0, 0], [0, 0]])
-        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        tensor = build_grid_tensor(gl, feats, window=(4, 4), merge="max")
-        assert np.allclose(tensor[0, 0], [1.0, 1.0])
 
     def test_average_is_exact_mean(self):
         rng = np.random.default_rng(5)
@@ -82,11 +76,6 @@ class TestBuildGridTensor:
         gl = _layout([[0, 0], [9, 9]])
         tensor = build_grid_tensor(gl, np.ones((2, 1)), window=(10, 10))
         assert tensor[9, 9, 0] == 1.0
-
-    def test_rejects_bad_merge(self):
-        gl = _layout([[0, 0]])
-        with pytest.raises(ValueError, match="merge"):
-            build_grid_tensor(gl, np.ones((1, 1)), window=(4, 4), merge="sum")
 
     def test_rejects_feature_mismatch(self):
         gl = _layout([[0, 0], [1, 1]])

@@ -1,6 +1,7 @@
 """Gradient checks: every backward pass against central finite differences."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -330,6 +331,22 @@ class TestParamsAndCheckpoints:
         path.write_bytes(data[: data.index(b"\n") // 2])
         with pytest.raises(ValueError):
             MsmCnn.load(path)
+
+    def test_checkpoint_bytes_are_header_and_params(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        model.save(path, epoch=4)
+        header = {
+            "format": "gpgl-checkpoint",
+            "version": 1,
+            "in_channels": 2,
+            "num_classes": 3,
+            "epoch": 4,
+            "config": asdict(model.config),
+        }
+        expected = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        expected += b"\n" + b"".join(p.value.astype("<f4").tobytes() for p in model.params())
+        assert path.read_bytes() == expected
 
     def test_save_deterministic_bytes(self, tmp_path):
         model = self._model()

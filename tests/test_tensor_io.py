@@ -2,6 +2,7 @@
 
 import errno
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestContainer:
         payload = path.read_bytes().split(b"\n", 1)[1]
         vals = np.frombuffer(payload, dtype="<f4")
         assert np.array_equal(vals, [1.0, 0.0, 0.0, 4.0])
+
+    def test_write_streams_without_copy(self, tmp_path):
+        batch = np.ones((8, 256, 256, 4), dtype=np.float32)  # 8 MiB
+        tracemalloc.start()
+        try:
+            write_container(tmp_path / "big.gt", batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_wrong_rank(self, tmp_path):
         with pytest.raises(ValueError):
