@@ -24,7 +24,7 @@ from .augment import AugmentedSet, augment
 from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, load_tudataset
 from .errors import GpglError
 from .graph import Graph
-from .grid import DEFAULT_WINDOW
+from .grid import DEFAULT_WINDOW, fit_window
 from .layout import LayoutParams, layout_graph
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
@@ -164,8 +164,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     ds = featurize(load_tudataset(args.dataset), mode=args.features)
     p = _params_from_args(args)
     start = time.perf_counter()
-    sets = _augment_dataset(ds, p, args.k, _resolve_jobs(args))
     window = _parse_window(args.window)
+    sets = fit_window(_augment_dataset(ds, p, args.k, _resolve_jobs(args)), window)
     entries = export_tensors(sets, ds, args.out, window=window)
     elapsed = time.perf_counter() - start
     summary = _summary(sets, ds, elapsed)

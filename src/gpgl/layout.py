@@ -7,12 +7,16 @@ rounding to integer cells keeps vertices distinct. The discrete stage
 rounds the optimized coordinates to the grid.
 
 One pair kernel (``_PairKernel``, built once per vertex count) holds the
-loss and its gradient. It works on the unordered pairs i < j: a
-candidate's pair offsets and distances are computed once, checked for
-coincident pairs (distance exactly 0), and give both the stress and the
-penalty; the descent keeps the accepted candidate's offsets and takes
-the next gradient from them, scattering each pair's term onto both of
-its endpoints.
+loss and its gradient over the unordered pairs i < j. A candidate's pair
+offsets come from one gather of its flattened coordinates; their lengths
+are checked for coincident pairs (distance exactly 0) and give the
+stress residuals ``d_ij / s_ij - 1`` and the penalty. The hinge is
+skipped when the closest pair is at least ``alpha`` apart, where every
+hinge term is exactly 0. The descent keeps the accepted candidate's
+offsets and residuals and takes the next gradient from them, with one
+scatter of each pair's term onto both of its endpoints. Each step is
+the same IEEE operations, in the same order, as the plain per-axis
+form, so layouts do not depend on these shortcuts.
 """
 
 from __future__ import annotations
@@ -148,8 +152,8 @@ class LayoutParams:
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.max_iters < 1:
@@ -208,58 +212,67 @@ def circular_init(n: int, seed: int) -> Layout:
 class _PairKernel:
     """The layout loss and its gradient over the unordered pairs i < j.
 
-    ``i`` and ``j`` list the pairs in row-major order. ``slots`` is the
-    flat ``(vertex, axis)`` position of each term of the gradient
-    scatter: the x then y parts at the i ends, then at the j ends.
+    ``i`` and ``j`` list the pairs in row-major order. ``gather[0]`` and
+    ``gather[1]`` are the flat ``(vertex, axis)`` positions of the i and
+    j ends, x row then y row: one gather and one subtraction give every
+    pair's offset. ``slots``, the same positions flattened, places each
+    term of the gradient in its one ``bincount`` scatter.
+
+    ``evaluate`` returns the offsets, distances and residuals
+    ``d_ij / s_ij - 1`` for ``gradient`` to reuse. The hinge is skipped
+    when the closest pair is at least ``alpha`` apart: the correctly
+    rounded ``alpha / d_ij`` is then at most 1, so every hinge term is
+    exactly 0.
     """
 
     n: int
     i: np.ndarray
     j: np.ndarray
+    gather: np.ndarray
     slots: np.ndarray
 
     def pair_values(self, matrix: np.ndarray) -> np.ndarray:
         """Entries (i, j) of a symmetric matrix, as floats."""
         return matrix[self.i, self.j].astype(np.float64)
 
-    def distances(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pair offsets ``(dx, dy)`` of i from j, and their lengths."""
-        x, y = coords[:, 0], coords[:, 1]
-        dx = x[self.i] - x[self.j]
-        dy = y[self.i] - y[self.j]
-        return dx, dy, np.hypot(dx, dy)
+    def distances(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pair offsets of i from j as ``(2, P)`` rows (dx, dy), and their
+        lengths."""
+        ends = coords.ravel()[self.gather]
+        d = ends[0] - ends[1]
+        return d, np.hypot(d[0], d[1])
 
-    def check_separated(self, dist: np.ndarray) -> None:
-        """Raise on a pair at distance exactly 0."""
-        if (dist == 0.0).any():
+    def check_separated(self, dist: np.ndarray) -> float:
+        """Return the closest distance; raise on a pair at distance
+        exactly 0, naming the first in row-major order."""
+        dmin = np.minimum.reduce(dist)
+        if not dmin > 0.0 and (dist == 0.0).any():
             k = np.flatnonzero(dist == 0.0)[0]
             raise CoincidentVerticesError(f"vertices {self.i[k]} and {self.j[k]} coincide")
+        return dmin
 
-    def stress(self, dist: np.ndarray, hops: np.ndarray) -> float:
-        return float(np.sum((dist / hops - 1.0) ** 2))
+    def stress(self, dist: np.ndarray, hops: np.ndarray) -> tuple[float, np.ndarray]:
+        """``sum (d_ij / s_ij - 1)^2`` and the residuals it sums."""
+        r = dist / hops - 1.0
+        return float(np.add.reduce(r * r)), r
 
     def penalty(self, dist: np.ndarray, alpha: float, lam: float) -> float:
-        return float(2.0 * lam * np.maximum(0.0, alpha / dist - 1.0).sum())
+        return 2.0 * lam * float(np.add.reduce(np.maximum(0.0, alpha / dist - 1.0)))
 
     def evaluate(
         self, coords: np.ndarray, hops: np.ndarray, alpha: float, lam: float
-    ) -> tuple[float, float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(total, stress, penalty, pairs); ``pairs`` is ``distances``'s
-        result. Raises on coincident pairs."""
-        pairs = self.distances(coords)
-        dist = pairs[2]
-        self.check_separated(dist)
-        kk = self.stress(dist, hops)
-        sep = self.penalty(dist, alpha, lam) if lam > 0.0 else 0.0
-        return kk + sep, kk, sep, pairs
+    ) -> tuple[float, float, float, tuple]:
+        """(total, stress, penalty, pairs); ``pairs`` is what ``gradient``
+        takes. Raises on coincident pairs."""
+        d, dist = self.distances(coords)
+        dmin = self.check_separated(dist)
+        kk, r = self.stress(dist, hops)
+        # A NaN distance fails `dmin >= alpha` too, so it takes the hinge.
+        hinge = lam > 0.0 and not dmin >= alpha
+        sep = self.penalty(dist, alpha, lam) if hinge else 0.0
+        return kk + sep, kk, sep, (d, dist, r, hinge)
 
-    def gradient(
-        self,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-        hops: np.ndarray,
-        alpha: float,
-        lam: float,
-    ) -> np.ndarray:
+    def gradient(self, pairs: tuple, hops: np.ndarray, alpha: float, lam: float) -> np.ndarray:
         """Exact gradient of ``evaluate``'s total at the coordinates that
         gave ``pairs``.
 
@@ -267,21 +280,22 @@ class _PairKernel:
         of i from j on vertex i, and its negation on vertex j. The hinge
         uses the one-sided zero derivative at ``d_ij >= alpha``.
         """
-        dx, dy, dist = pairs
-        coef = 2.0 * (dist / hops - 1.0) / (hops * dist)
-        if lam > 0.0:
+        d, dist, r, hinge = pairs
+        coef = 2.0 * r / (hops * dist)
+        if hinge:
             active = dist < alpha
             coef[active] -= 2.0 * lam * alpha / dist[active] ** 3
-        fx, fy = coef * dx, coef * dy
-        terms = np.concatenate([fx, fy, -fx, -fy])
+        f = coef * d
+        terms = np.concatenate([f, -f]).ravel()
         return np.bincount(self.slots, terms, minlength=2 * self.n).reshape(self.n, 2)
 
 
 @functools.lru_cache(maxsize=32)
 def _pair_kernel(n: int) -> _PairKernel:
     i, j = np.triu_indices(n, 1)
-    kernel = _PairKernel(n, i, j, np.concatenate([2 * i, 2 * i + 1, 2 * j, 2 * j + 1]))
-    for arr in (kernel.i, kernel.j, kernel.slots):
+    gather = np.stack([np.stack([2 * i, 2 * i + 1]), np.stack([2 * j, 2 * j + 1])])
+    kernel = _PairKernel(n, i, j, gather, gather.ravel())
+    for arr in (kernel.i, kernel.j, kernel.gather, kernel.slots):
         arr.setflags(write=False)
     return kernel
 
@@ -298,7 +312,7 @@ def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
     kernel = _pair_kernel(layout.n)
-    return kernel.stress(kernel.distances(layout.coords)[2], kernel.pair_values(s.d))
+    return kernel.stress(kernel.distances(layout.coords)[1], kernel.pair_values(s.d))[0]
 
 
 def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
@@ -312,7 +326,7 @@ def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
     kernel = _pair_kernel(layout.n)
-    dist = kernel.distances(layout.coords)[2]
+    dist = kernel.distances(layout.coords)[1]
     kernel.check_separated(dist)
     return kernel.penalty(dist, alpha, lam)
 
@@ -345,7 +359,7 @@ def _descend(
     x = coords0.copy()
     f, kk, sep, pairs = kernel.evaluate(x, hops, alpha, lam)
     grad = kernel.gradient(pairs, hops, alpha, lam)
-    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+    if not (math.isfinite(f) and np.all(np.isfinite(grad))):
         raise NonFiniteLossError(f"non-finite loss at initialization: {f}")
 
     best_x, best = x.copy(), _StageStats(loss=f, kk=kk, sep=sep)
@@ -356,11 +370,12 @@ def _descend(
     reason = "max_iters"
 
     for _ in range(p.max_iters):
-        gmax = float(np.abs(grad).max())
+        flat = grad.ravel()
+        gmax = float(np.maximum.reduce(np.abs(flat)))
         if gmax <= p.grad_tol:
             reason = "grad_tol"
             break
-        gsq = float((grad * grad).sum())
+        gsq = float(np.add.reduce(flat * flat))
 
         t = step
         accepted = False
@@ -371,7 +386,7 @@ def _descend(
             except CoincidentVerticesError:
                 t *= 0.5
                 continue
-            if np.isfinite(f_c) and f_c <= f - _ARMIJO_C * t * gsq:
+            if math.isfinite(f_c) and f_c <= f - _ARMIJO_C * t * gsq:
                 accepted = True
                 break
             t *= 0.5
@@ -392,7 +407,7 @@ def _descend(
 
         x, f, kk, sep, pairs = cand, f_c, kk_c, sep_c, pairs_c
         stats.iterations += 1
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise NonFiniteLossError(f"loss diverged to {f}")
         if f < best.loss:
             best_x = x.copy()
@@ -486,7 +501,7 @@ def rescale_layout(layout: Layout, p: LayoutParams) -> Layout:
     """
     if layout.n < 2:
         raise ValueError("need at least 2 vertices")
-    dist = _pair_kernel(layout.n).distances(layout.coords)[2]
+    dist = _pair_kernel(layout.n).distances(layout.coords)[1]
     beta = max(p.gamma, float(dist.min()))
     if beta == 0.0:
         return layout
@@ -582,7 +597,7 @@ def _layout_connected(
 
     grid, lost = _round_best_phase(coords)
     kernel = _pair_kernel(n)
-    grid_dist = kernel.distances(grid.cells.astype(np.float64))[2]
+    grid_dist = kernel.distances(grid.cells.astype(np.float64))[1]
     diag = LayoutDiagnostics(
         kk_loss=gp_stats.kk,
         separation_penalty=gp_stats.sep,
@@ -590,7 +605,7 @@ def _layout_connected(
         gpgl_iterations=gp_stats.iterations,
         lost_vertices=lost,
         stops=kk_stats.stops + gp_stats.stops,
-        grid_stress=kernel.stress(grid_dist, kernel.pair_values(s.d)),
+        grid_stress=kernel.stress(grid_dist, kernel.pair_values(s.d))[0],
     )
     return grid, diag
 

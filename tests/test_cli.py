@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, path_graph, write_tu_dataset
+from conftest import complete_graph, cycle_graph, path_graph, write_tu_dataset
 from gpgl.cli import _config_from_args, _params_from_args, _parse_window, build_parser, main
 from gpgl.grid import DEFAULT_WINDOW
 from gpgl.layout import LayoutParams
@@ -238,6 +238,33 @@ class TestExportCommand:
         tensors, _ = read_container(out)
         # Corpus max degree 2 -> one-hot dimension 3.
         assert tensors.shape == (4, 12, 16, 3)
+
+    def test_overflowing_layout_is_one_failed_run(self, tmp_path, capsys):
+        # K20 needs more than 16 cells; the small graphs fit a 4x4 window.
+        graphs = [path_graph(3), complete_graph(20), cycle_graph(4), path_graph(2)]
+        dataset = write_tu_dataset(tmp_path, "BIG", graphs, [1, -1, 1, -1])
+        out = tmp_path / "big.gt"
+        argv = ["export", "--dataset", str(dataset), "--out", str(out), "-k", "2", "--window", "4"]
+        code, stdout, _ = run(capsys, argv + FAST)
+        assert code == 0
+        summary = json.loads(stdout)
+        assert summary["failed"] == 2
+        assert summary["layouts"] == summary["tensors"] == 6
+        assert summary["layouts"] + summary["failed"] == 2 * len(graphs)
+        tensors, _ = read_container(out)
+        assert tensors.shape[:3] == (6, 4, 4)
+        assert sorted(e.graph_id for e in read_manifest(manifest_path_for(out))) == [0, 0, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("window", ["1", "0", "-3"])
+    def test_no_layout_fits_is_json_error(self, cli_dataset, tmp_path, capsys, window):
+        out = tmp_path / "none.gt"
+        argv = ["export", "--dataset", str(cli_dataset), "--out", str(out), "--window", window]
+        code, stdout, stderr = run(capsys, argv + FAST)
+        assert code == 1 and stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "WindowOverflowError"
+        assert err["message"].endswith(f"window is {window}x{window}")
+        assert not out.exists()
 
 
 class TestStatsCommand:

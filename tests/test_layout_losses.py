@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpgl import (
@@ -290,3 +290,68 @@ def test_tiny_separations_match_loop_oracles(case):
     assert kk_loss(lay, s) == pytest.approx(expected_kk, rel=1e-12, abs=1e-12)
     expected_sep = separation_penalty_loops(coords, ALPHA, LAM)
     assert separation_penalty(lay, ALPHA, LAM) == pytest.approx(expected_sep, rel=1e-12)
+
+
+# The kernel skips the hinge when the closest pair is at least alpha
+# apart, and scans for coincident pairs only when the closest distance
+# is not positive. Both shortcuts must give exactly what the full
+# computation gives.
+
+
+@st.composite
+def alpha_separated_layout(draw):
+    """Distinct lattice sites ``spacing >= ALPHA`` apart; at spacing
+    ALPHA the first two sites are neighbours exactly ALPHA apart."""
+    n = draw(st.integers(2, 10))
+    first = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    step = draw(st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]))
+    rest = draw(
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=n - 2, max_size=n - 2)
+    )
+    sites = list(dict.fromkeys([first, (first[0] + step[0], first[1] + step[1]), *rest]))
+    spacing = draw(st.just(ALPHA) | st.floats(ALPHA, 4.0))
+    coords = spacing * np.array(sites, dtype=float)
+    g = random_connected_graph(len(sites), np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return shortest_path_distances(g), coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=alpha_separated_layout())
+def test_hinge_skip_is_exact_when_separated(case):
+    s, coords = case
+    offsets = coords[:, None] - coords[None, :]
+    dist = np.hypot(offsets[..., 0], offsets[..., 1])[np.triu_indices(len(coords), 1)]
+    assume(dist.min() >= ALPHA)
+    lay = Layout(coords)
+    assert separation_penalty(lay, ALPHA, LAM) == 0.0
+    value, grad = gpgl_loss_and_grad(lay, s, LayoutParams(alpha=ALPHA, lam=LAM))
+    value0, grad0 = gpgl_loss_and_grad(lay, s, LayoutParams(alpha=ALPHA, lam=0.0))
+    assert value == value0
+    assert grad.tobytes() == grad0.tobytes()
+
+
+@st.composite
+def layout_with_duplicate_row(draw):
+    n = draw(st.integers(2, 10))
+    coords = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n)))
+    src, dst = draw(st.permutations(range(n)))[:2]
+    coords[dst] = coords[src]
+    g = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return shortest_path_distances(g), coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=layout_with_duplicate_row())
+def test_coincidence_names_first_pair_in_row_major_order(case):
+    s, coords = case
+    n = len(coords)
+    first = next((i, j) for i in range(n) for j in range(i + 1, n) if np.array_equal(coords[i], coords[j]))
+    message = f"vertices {first[0]} and {first[1]} coincide"
+    lay = Layout(coords)
+    with pytest.raises(CoincidentVerticesError) as err:
+        separation_penalty(lay, ALPHA, LAM)
+    assert str(err.value) == message
+    for lam in (0.0, LAM):
+        with pytest.raises(CoincidentVerticesError) as err:
+            gpgl_loss_and_grad(lay, s, LayoutParams(alpha=ALPHA, lam=lam))
+        assert str(err.value) == message

@@ -215,6 +215,12 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(circular_init(3, 0), s, LayoutParams())
 
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_rejects_penalty_weight_that_is_not_finite_and_nonnegative(self, lam):
+        # An infinite weight times an all-zero hinge is NaN, not 0.
+        with pytest.raises(ValueError, match="lam must be finite"):
+            LayoutParams(lam=lam)
+
 
 class TestGpglLayout:
     """The per-component pipeline, on connected graphs."""
@@ -348,6 +354,16 @@ def test_layout_graph_any_small_graph(g, seed):
                 cell_dist = math.hypot(*(grid.cells[u] - grid.cells[v]))
                 expected += (cell_dist / hops[u][v] - 1.0) ** 2
     assert diag.grid_stress == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=small_graph(), seed=st.integers(0, 1), lam=st.sampled_from([0.0, LayoutParams().lam]))
+def test_layout_graph_raises_no_floating_point_error(g, seed, lam):
+    # The pipeline divides by zero, overflows or makes a NaN nowhere, so
+    # a kernel form that evaluates a term where it is not used (the
+    # hinge over every pair, say) must not either.
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        layout_graph(g, LayoutParams(lam=lam, seed=seed))
 
 
 class TestGridLayoutType:
