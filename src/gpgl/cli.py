@@ -2,8 +2,8 @@
 
 Subcommands cover the full pipeline: augment computes k grid layouts per
 graph of a dataset (layout is augment with k = 1), export packs them
-into a tensor container, stats summarises a corpus, render draws layouts
-as SVG, train runs the cross-validated CNN.
+into a tensor container, stats summarises a corpus, render draws each
+graph's k = 1 augment layout as SVG, train runs the cross-validated CNN.
 
 Artifact files are deterministic for fixed flags and inputs; run
 summaries that include wall time go to stdout only. Failures print one
@@ -25,7 +25,7 @@ from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, lo
 from .errors import GpglError
 from .graph import Graph
 from .grid import DEFAULT_WINDOW, fit_window
-from .layout import LayoutParams, layout_graph
+from .layout import LayoutParams
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
 from .render import render_graph_svg
@@ -98,21 +98,12 @@ def _write_run_files(
         runs = []
         for lay in s.layouts:
             if lay.failed:
-                runs.append({"seed": lay.seed, "error": lay.error})
-                diag_lines.append(
-                    _json_line({"graph_id": s.graph_id, "seed": lay.seed, "error": lay.error})
-                )
+                cells = diagnostics = {"error": lay.error}
             else:
-                runs.append({"seed": lay.seed, "cells": lay.grid.cells.tolist()})
-                diag_lines.append(
-                    _json_line(
-                        {
-                            "graph_id": s.graph_id,
-                            "seed": lay.seed,
-                            **lay.diagnostics.to_dict(),
-                        }
-                    )
-                )
+                cells = {"cells": lay.grid.cells.tolist()}
+                diagnostics = lay.diagnostics.to_dict()
+            runs.append({"seed": lay.seed, **cells})
+            diag_lines.append(_json_line({"graph_id": s.graph_id, "seed": lay.seed, **diagnostics}))
         graphs_doc.append({"graph_id": s.graph_id, "k": s.k, "layouts": runs})
     params = asdict(p)
     params["lambda"] = params.pop("lam")
@@ -122,20 +113,13 @@ def _write_run_files(
 
 
 def _summary(sets: list[AugmentedSet], ds: GraphDataset, elapsed: float) -> dict:
-    lost = 0
-    total = 0
-    failed = 0
-    for s in sets:
-        for lay in s.layouts:
-            if lay.failed:
-                failed += 1
-                continue
-            lost += lay.diagnostics.lost_vertices
-            total += ds.graphs[s.graph_id].num_vertices
+    ok = [(s.graph_id, lay) for s in sets for lay in s.successful()]
+    lost = sum(lay.diagnostics.lost_vertices for _, lay in ok)
+    total = sum(ds.graphs[graph_id].num_vertices for graph_id, _ in ok)
     return {
         "graphs": len(sets),
-        "layouts": sum(s.k for s in sets) - failed,
-        "failed": failed,
+        "layouts": len(ok),
+        "failed": sum(s.k for s in sets) - len(ok),
         "vertex_loss_percent": (100.0 * lost / total) if total else 0.0,
         "wall_time_s": elapsed,
     }
@@ -199,14 +183,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = range(len(ds.graphs)) if args.graph is None else [args.graph]
+    failed = 0
     for i in indices:
         if not 0 <= i < len(ds.graphs):
             raise IndexError(f"graph index {i} out of range 0..{len(ds.graphs) - 1}")
-        grid, _ = layout_graph(ds.graphs[i], p)
-        svg = render_graph_svg(ds.graphs[i], grid, cell_size=args.cell_size)
+        (lay,) = augment(ds.graphs[i], p, 1, graph_id=i).layouts
+        if lay.failed:
+            failed += 1
+            continue
+        svg = render_graph_svg(ds.graphs[i], lay.grid, cell_size=args.cell_size)
         with atomic_open(out_dir / f"graph_{i}.svg") as fh:
             fh.write(svg.encode())
-    print(_json_line({"rendered": len(list(indices)), "out": str(out_dir)}))
+    summary = {"rendered": len(indices) - failed, "failed": failed, "out": str(out_dir)}
+    print(_json_line(summary))
     return 0
 
 

@@ -363,7 +363,7 @@ def export_tensors(
         try:
             tensors[i] = build_grid_tensor(lay.grid, ds.features[graph_id], window=window)
         except WindowOverflowError as exc:
-            raise WindowOverflowError(str(exc), graph_id=graph_id) from None
+            raise WindowOverflowError(f"graph {graph_id}: {exc}") from None
         entries.append(
             ManifestEntry(
                 graph_id=graph_id,

@@ -31,10 +31,6 @@ class NonFiniteLossError(GpglError):
 class WindowOverflowError(GpglError):
     """A grid layout does not fit inside the requested tensor window."""
 
-    def __init__(self, message: str, graph_id: int | None = None):
-        super().__init__(message)
-        self.graph_id = graph_id
-
 
 class DatasetParseError(GpglError):
     """A dataset file is malformed; carries the offending line number."""

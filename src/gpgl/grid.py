@@ -74,8 +74,8 @@ def fit_window(sets: list[AugmentedSet], window: tuple[int, int]) -> list[Augmen
     """Record each layout that does not fit ``window`` as a failed run.
 
     The run keeps its seed and carries the overflow as its error, in the
-    form ``augment`` gives a failed run. Raises the first overflow, with
-    its graph id, when layouts overflowed and none fits.
+    form ``augment`` gives a failed run. When layouts overflowed and
+    none fits, raises the first overflow, prefixed ``graph <id>: ``.
     """
     fitted = []
     first = None
@@ -86,7 +86,7 @@ def fit_window(sets: list[AugmentedSet], window: tuple[int, int]) -> list[Augmen
                 try:
                     _check_window(lay.grid, window)
                 except WindowOverflowError as exc:
-                    first = first or WindowOverflowError(str(exc), graph_id=s.graph_id)
+                    first = first or WindowOverflowError(f"graph {s.graph_id}: {exc}")
                     lay = AugmentedLayout(lay.seed, None, None, f"{type(exc).__name__}: {exc}")
             layouts.append(lay)
         fitted.append(replace(s, layouts=tuple(layouts)))

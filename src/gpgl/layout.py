@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -150,21 +150,19 @@ class LayoutParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        for name in ("alpha", "lam", "gamma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be > 0")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
 class LayoutDiagnostics:
-    """Per-layout record of how the optimization went, summed over components.
+    """Per-layout record of how the optimization went, each field summed
+    over the components.
 
     ``stops`` counts the stress, penalized and polish descents by why they
     stopped (see ``_descend``); reasons that never occurred are absent.
@@ -180,6 +178,10 @@ class LayoutDiagnostics:
     stops: dict[str, int]
     grid_stress: float
     components: int = 1
+
+    def __post_init__(self) -> None:
+        # A plain dict in reason order, so asdict copies it as it is.
+        object.__setattr__(self, "stops", dict(sorted(self.stops.items())))
 
     @property
     def total_loss(self) -> float:
@@ -300,6 +302,16 @@ def _pair_kernel(n: int) -> _PairKernel:
     return kernel
 
 
+def _checked_kernel(layout: Layout, s: DistanceMatrix | None = None) -> _PairKernel:
+    """The pair kernel of ``layout``; raise unless it has as many vertices
+    as ``s`` (when given) and at least 2."""
+    if s is not None and layout.n != s.n:
+        raise ValueError(f"layout has {layout.n} vertices, distances have {s.n}")
+    if layout.n < 2:
+        raise ValueError("need at least 2 vertices")
+    return _pair_kernel(layout.n)
+
+
 def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     """Stress of a layout against graph distances.
 
@@ -307,11 +319,7 @@ def kk_loss(layout: Layout, s: DistanceMatrix) -> float:
     the sum over ordered pairs). Zero exactly when every Euclidean
     distance matches its hop distance.
     """
-    if layout.n != s.n:
-        raise ValueError(f"layout has {layout.n} vertices, distances have {s.n}")
-    if layout.n < 2:
-        raise ValueError("need at least 2 vertices")
-    kernel = _pair_kernel(layout.n)
+    kernel = _checked_kernel(layout, s)
     return kernel.stress(kernel.distances(layout.coords)[1], kernel.pair_values(s.d))[0]
 
 
@@ -323,9 +331,7 @@ def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
     if every pairwise distance is at least ``alpha``; grows without bound
     as any pair approaches coincidence.
     """
-    if layout.n < 2:
-        raise ValueError("need at least 2 vertices")
-    kernel = _pair_kernel(layout.n)
+    kernel = _checked_kernel(layout)
     dist = kernel.distances(layout.coords)[1]
     kernel.check_separated(dist)
     return kernel.penalty(dist, alpha, lam)
@@ -333,12 +339,12 @@ def separation_penalty(layout: Layout, alpha: float, lam: float) -> float:
 
 @dataclass
 class _StageStats:
-    iterations: int = 0
-    loss: float = 0.0
-    kk: float = 0.0
-    sep: float = 0.0
+    iterations: int
+    loss: float
+    kk: float
+    sep: float
     # Why each descent of the stage stopped, as counts per reason.
-    stops: Counter = field(default_factory=Counter)
+    stops: Counter
 
 
 def _descend(
@@ -362,11 +368,10 @@ def _descend(
     if not (math.isfinite(f) and np.all(np.isfinite(grad))):
         raise NonFiniteLossError(f"non-finite loss at initialization: {f}")
 
-    best_x, best = x.copy(), _StageStats(loss=f, kk=kk, sep=sep)
+    best_x, best = x.copy(), (f, kk, sep)
     # best_losses[k] is the best loss after k iterations.
     best_losses = [f]
     step = 1.0
-    stats = _StageStats()
     reason = "max_iters"
 
     for _ in range(p.max_iters):
@@ -406,25 +411,19 @@ def _descend(
             step = max(t * 2.0, _FALLBACK_DISPLACEMENT)
 
         x, f, kk, sep, pairs = cand, f_c, kk_c, sep_c, pairs_c
-        stats.iterations += 1
         if not math.isfinite(f):
             raise NonFiniteLossError(f"loss diverged to {f}")
-        if f < best.loss:
-            best_x = x.copy()
-            best.loss, best.kk, best.sep = f, kk, sep
-        best_losses.append(best.loss)
-        if (
-            stats.iterations >= _PROGRESS_WINDOW
-            and best_losses[-1 - _PROGRESS_WINDOW] - best.loss
-            <= _PROGRESS_TOL * max(1.0, abs(best.loss))
+        if f < best[0]:
+            best_x, best = x.copy(), (f, kk, sep)
+        best_losses.append(best[0])
+        if len(best_losses) > _PROGRESS_WINDOW and (
+            best_losses[-1 - _PROGRESS_WINDOW] - best[0] <= _PROGRESS_TOL * max(1.0, abs(best[0]))
         ):
             reason = "progress"
             break
         grad = kernel.gradient(pairs, hops, alpha, lam)
 
-    stats.loss, stats.kk, stats.sep = best.loss, best.kk, best.sep
-    stats.stops[reason] += 1
-    return best_x, stats
+    return best_x, _StageStats(len(best_losses) - 1, *best, Counter({reason: 1}))
 
 
 def _descend_polished(
@@ -482,11 +481,7 @@ def gpgl_loss_and_grad(
     including the ``alpha`` factor from differentiating the hinge; finite
     differences agree to first order everywhere off the hinge kinks.
     """
-    if layout.n != s.n:
-        raise ValueError(f"layout has {layout.n} vertices, distances have {s.n}")
-    if layout.n < 2:
-        raise ValueError("need at least 2 vertices")
-    kernel = _pair_kernel(layout.n)
+    kernel = _checked_kernel(layout, s)
     hops = kernel.pair_values(s.d)
     f, _, _, pairs = kernel.evaluate(layout.coords, hops, p.alpha, p.lam)
     return f, kernel.gradient(pairs, hops, p.alpha, p.lam)
@@ -499,9 +494,7 @@ def rescale_layout(layout: Layout, p: LayoutParams) -> Layout:
     pairwise distance floored at ``gamma``; a layout whose pairs are
     already separated is returned unchanged. Distances are never shrunk.
     """
-    if layout.n < 2:
-        raise ValueError("need at least 2 vertices")
-    dist = _pair_kernel(layout.n).distances(layout.coords)[1]
+    dist = _checked_kernel(layout).distances(layout.coords)[1]
     beta = max(p.gamma, float(dist.min()))
     if beta == 0.0:
         return layout
@@ -520,8 +513,7 @@ def minimize(layout0: Layout, s: DistanceMatrix, p: LayoutParams) -> Layout:
     layout never has higher loss than the input. Deterministic for fixed
     inputs.
     """
-    if layout0.n != s.n:
-        raise ValueError(f"layout has {layout0.n} vertices, distances have {s.n}")
+    _checked_kernel(layout0, s)
     coords, _ = _descend_polished(layout0.coords, s.d, p.alpha, p.lam, p)
     return Layout(coords)
 
@@ -615,37 +607,21 @@ def layout_graph(g: Graph, p: LayoutParams) -> tuple[GridLayout, LayoutDiagnosti
 
     Each connected component is laid out independently (same parameters
     and seed) and the component layouts are packed left to right,
-    separated by one empty column; the diagnostics are summed. A
-    connected graph is the one-component case.
+    separated by one empty column; each diagnostic is summed over the
+    components in order. A connected graph is the one-component case.
     """
-    comps = connected_components(g)
     cells = np.zeros((g.num_vertices, 2), dtype=np.int64)
     col_offset = 0
-    kk_total = sep_total = grid_stress = 0.0
-    kk_iters = gp_iters = lost = 0
-    stops = Counter()
-    for comp in comps:
+    diags = []
+    for comp in connected_components(g):
         grid, diag = _layout_connected(comp.graph, p)
         placed = grid.cells.copy()
         placed[:, 1] += col_offset
         cells[comp.original_vertices] = placed
         col_offset += grid.extent()[1] + 1
-        kk_total += diag.kk_loss
-        sep_total += diag.separation_penalty
-        kk_iters += diag.kk_iterations
-        gp_iters += diag.gpgl_iterations
-        lost += diag.lost_vertices
-        stops.update(diag.stops)
-        grid_stress += diag.grid_stress
+        diags.append(diag)
 
-    diag = LayoutDiagnostics(
-        kk_loss=kk_total,
-        separation_penalty=sep_total,
-        kk_iterations=kk_iters,
-        gpgl_iterations=gp_iters,
-        lost_vertices=lost,
-        stops=dict(sorted(stops.items())),
-        grid_stress=grid_stress,
-        components=len(comps),
-    )
-    return GridLayout(cells), diag
+    summed = [f.name for f in fields(LayoutDiagnostics) if f.name != "stops"]
+    totals = {name: sum(getattr(d, name) for d in diags) for name in summed}
+    stops = sum((Counter(d.stops) for d in diags), Counter())
+    return GridLayout(cells), LayoutDiagnostics(**totals, stops=stops)

@@ -76,6 +76,9 @@ def test_recompose_matches_layout_graph(monkeypatch):
         # No separation penalty: vertices collide, so the scan's choice of
         # (fewest lost vertices, then smallest area) decides the cells.
         (complete_graph(8), LayoutParams(max_iters=60, lam=0.0)),
+        # The rescale zooms the stress layout by about 2.1 before the
+        # penalized stage, and the cells differ from those without it.
+        (cycle_graph(6), LayoutParams(max_iters=60, seed=1, alpha=2.0, enable_rescale=True)),
     ]
     calls = []
     for g, p in cases:

@@ -14,10 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpgl.augment
 from conftest import complete_graph, cycle_graph, path_graph, write_tu_dataset
 from gpgl.cli import _config_from_args, _params_from_args, _parse_window, build_parser, main
+from gpgl.datasets import load_tudataset
+from gpgl.errors import NonFiniteLossError
 from gpgl.grid import DEFAULT_WINDOW
-from gpgl.layout import LayoutParams
+from gpgl.layout import LayoutParams, layout_graph
+from gpgl.render import render_graph_svg
 from gpgl.nn.network import NetworkConfig
 from gpgl.tensor_io import (
     ManifestEntry,
@@ -188,6 +192,52 @@ class TestAugmentCommand:
         assert len(lines) == 12
 
 
+def fail_layouts(monkeypatch, num_vertices, seeds):
+    """Make ``layout_graph`` raise for graphs of ``num_vertices`` vertices
+    under ``seeds``."""
+    real = gpgl.augment.layout_graph
+
+    def layout_graph(g, p):
+        if g.num_vertices == num_vertices and p.seed in seeds:
+            raise NonFiniteLossError("forced")
+        return real(g, p)
+
+    monkeypatch.setattr(gpgl.augment, "layout_graph", layout_graph)
+
+
+class TestFailedRuns:
+    """Graph 2 of the CLI corpus is the only one with 6 vertices."""
+
+    def run_files(self, capsys, cli_dataset, out):
+        code, stdout, _ = run(
+            capsys, ["layout", "--dataset", str(cli_dataset), "--out", str(out)] + FAST
+        )
+        assert code == 0
+        doc = json.loads((out / "layouts.json").read_text())
+        lines = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+        return json.loads(stdout), doc["graphs"], lines
+
+    def test_one_failure_records_the_retry_seed(self, cli_dataset, tmp_path, capsys, monkeypatch):
+        fail_layouts(monkeypatch, 6, {0})
+        summary, graphs, lines = self.run_files(capsys, cli_dataset, tmp_path / "r")
+        assert summary["failed"] == 0 and summary["layouts"] == 4
+        assert [g["layouts"][0]["seed"] for g in graphs] == [0, 0, 1_000_003, 0]
+        assert [line["seed"] for line in lines] == [0, 0, 1_000_003, 0]
+        assert "cells" in graphs[2]["layouts"][0]
+        assert "total_loss" in lines[2]
+
+    def test_two_failures_write_a_failed_slot(self, cli_dataset, tmp_path, capsys, monkeypatch):
+        fail_layouts(monkeypatch, 6, {0, 1_000_003})
+        summary, graphs, lines = self.run_files(capsys, cli_dataset, tmp_path / "f")
+        assert summary["failed"] == 1 and summary["layouts"] == 3
+        error = "NonFiniteLossError: forced"
+        assert graphs[2] == {"graph_id": 2, "k": 1, "layouts": [{"seed": 0, "error": error}]}
+        assert lines[2] == {"graph_id": 2, "seed": 0, "error": error}
+        assert [len(g["layouts"]) for g in graphs] == [1, 1, 1, 1]
+        assert all("cells" in graphs[i]["layouts"][0] for i in (0, 1, 3))
+        assert all("total_loss" in lines[i] for i in (0, 1, 3))
+
+
 class TestExportCommand:
     def test_container_and_manifest(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "cli.gt"
@@ -263,6 +313,7 @@ class TestExportCommand:
         assert code == 1 and stdout == ""
         err = json.loads(stderr)
         assert err["error"] == "WindowOverflowError"
+        assert err["message"].startswith("graph 0: ")
         assert err["message"].endswith(f"window is {window}x{window}")
         assert not out.exists()
 
@@ -304,6 +355,21 @@ class TestRenderCommand:
         )
         assert code == 1
         assert json.loads(stderr)["error"] == "IndexError"
+
+    def test_failed_layout_is_skipped_and_counted(self, cli_dataset, tmp_path, capsys, monkeypatch):
+        fail_layouts(monkeypatch, 6, {0, 1_000_003})
+        out = tmp_path / "svg"
+        code, stdout, _ = run(
+            capsys, ["render", "--dataset", str(cli_dataset), "--out", str(out)] + FAST
+        )
+        assert code == 0
+        summary = json.loads(stdout)
+        assert summary["rendered"] == 3 and summary["failed"] == 1
+        assert sorted(f.name for f in out.iterdir()) == ["graph_0.svg", "graph_1.svg", "graph_3.svg"]
+        # A drawn graph shows its seed-0 layout, as layout_graph gives it.
+        g = load_tudataset(cli_dataset).graphs[3]
+        grid, _ = layout_graph(g, LayoutParams(max_iters=60))
+        assert (out / "graph_3.svg").read_text() == render_graph_svg(g, grid, cell_size=40)
 
 
 class TestTrainCommand:
@@ -395,6 +461,18 @@ class TestErrorHandling:
         )
         assert code == 1
         assert json.loads(stderr)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "grad_tol"])
+    def test_non_finite_layout_parameter(self, cli_dataset, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        flag = "--" + name.replace("_", "-")
+        argv = ["layout", "--dataset", str(cli_dataset), "--out", str(out), flag, "nan"]
+        code, stdout, stderr = run(capsys, argv + FAST)
+        assert code == 1 and stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{name} must be finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "header",

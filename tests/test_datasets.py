@@ -26,7 +26,7 @@ from gpgl.datasets import (
     featurize,
     load_tudataset,
 )
-from gpgl.errors import DatasetParseError, MissingNodeLabelsError
+from gpgl.errors import DatasetParseError, MissingNodeLabelsError, WindowOverflowError
 from gpgl.graph import Graph
 from gpgl.grid import build_grid_tensor
 from gpgl.layout import LayoutParams
@@ -320,6 +320,13 @@ class TestExportTensors:
             tracemalloc.stop()
         container = len(entries) * 64 * 64 * ds.features[0].shape[1] * 4
         assert peak <= 1.5 * container
+
+    def test_overflow_names_the_graph(self, synth_dataset_dir, tmp_path):
+        ds = featurize(load_tudataset(synth_dataset_dir))
+        sets = [augment(ds.graphs[2], LayoutParams(max_iters=40), 1, graph_id=2)]
+        with pytest.raises(WindowOverflowError, match=r"^graph 2: layout spans \d+x\d+, window is 1x1$"):
+            export_tensors(sets, ds, tmp_path / "x.gt", window=(1, 1))
+        assert not (tmp_path / "x.gt").exists()
 
     def test_empty_rejected(self, synth_dataset_dir, tmp_path):
         ds = featurize(load_tudataset(synth_dataset_dir))

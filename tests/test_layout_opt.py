@@ -1,5 +1,7 @@
 """Tests for the layout optimizer: init, rescale, minimize, rounding, pipeline."""
 
+import collections
+import dataclasses
 import math
 
 import networkx as nx
@@ -14,6 +16,7 @@ from gpgl.graph import Graph, shortest_path_distances
 from gpgl.layout import (
     GridLayout,
     Layout,
+    LayoutDiagnostics,
     LayoutParams,
     _round_best_phase,
     circular_init,
@@ -215,11 +218,23 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(circular_init(3, 0), s, LayoutParams())
 
+    def test_single_vertex_rejected(self):
+        s = shortest_path_distances(Graph(1, ()))
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            minimize(circular_init(1, 0), s, LayoutParams())
+
     @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
     def test_rejects_penalty_weight_that_is_not_finite_and_nonnegative(self, lam):
         # An infinite weight times an all-zero hinge is NaN, not 0.
         with pytest.raises(ValueError, match="lam must be finite"):
             LayoutParams(lam=lam)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "grad_tol"])
+    def test_rejects_parameter_that_is_not_finite(self, name, value):
+        # A NaN alpha fails every layout; a NaN grad_tol never stops.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LayoutParams(**{name: value})
 
 
 class TestGpglLayout:
@@ -267,6 +282,12 @@ class TestGpglLayout:
 
 class TestStopReasons:
     """``LayoutDiagnostics.stops`` counts why each descent stopped."""
+
+    def test_record_holds_a_plain_dict_in_reason_order(self):
+        stops = collections.Counter({"progress": 3, "max_iters": 1})
+        diag = LayoutDiagnostics(1.0, 0.0, 4, 0, 0, stops, 0.5)
+        assert type(diag.stops) is dict and list(diag.stops) == ["max_iters", "progress"]
+        assert diag.to_dict()["stops"] == {"max_iters": 1, "progress": 3}
 
     def test_two_vertex_stress_reaches_grad_tol(self):
         # Stress stage, then a penalized stage with lam = 0 that starts at
@@ -319,6 +340,23 @@ class TestLayoutGraph:
         assert whole.separation_penalty == pytest.approx(
             2 * single.separation_penalty, rel=1e-12
         )
+
+    def test_every_diagnostic_sums_over_components(self):
+        # A path, an isolated vertex and a triangle, each also laid out alone.
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)])
+        parts = [path_graph(3), Graph(1, ()), Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])]
+        p = LayoutParams(max_iters=80, seed=4)
+        _, whole = layout_graph(g, p)
+        alone = [layout_graph(part, p)[1] for part in parts]
+        for f in dataclasses.fields(LayoutDiagnostics):
+            values = [getattr(d, f.name) for d in alone]
+            if f.name == "stops":
+                reasons = sorted(set().union(*values))
+                expected = {r: sum(v.get(r, 0) for v in values) for r in reasons}
+            else:
+                expected = sum(values)
+            assert getattr(whole, f.name) == expected, f.name
+        assert whole.components == 3
 
 
 @st.composite

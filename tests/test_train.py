@@ -157,6 +157,16 @@ class TestTrainingLoop:
             assert len(f.val_losses) == len(f.train_losses)
             assert all(np.isfinite(v) for v in f.val_losses)
 
+    def test_early_stopping_after_patience_stale_epochs(self):
+        # At lr 0 the held-out loss never falls after epoch 0, so each
+        # fold stops after 1 + patience of its 6 epochs.
+        tensors, labels, gids = blob_corpus(n_graphs=8)
+        config = small_config(learning_rate=0.0, patience=2, epochs=6)
+        result = train(tensors, labels, gids, config, n_folds=2)
+        for f in result.folds:
+            assert len(f.train_losses) == len(f.val_losses) == 3
+            assert f.best_epoch == 0
+
     def test_layouts_of_one_graph_stay_in_one_fold(self):
         tensors, labels, gids = blob_corpus(n_graphs=10)
         folds = make_graph_folds(gids, 5, seed=0)
