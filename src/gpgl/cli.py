@@ -24,7 +24,7 @@ from .augment import AugmentedSet, augment
 from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, load_tudataset
 from .errors import GpglError
 from .graph import Graph
-from .grid import DEFAULT_WINDOW, fit_window
+from .grid import DEFAULT_WINDOW
 from .layout import LayoutParams
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
@@ -149,8 +149,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     start = time.perf_counter()
     window = _parse_window(args.window)
-    sets = fit_window(_augment_dataset(ds, p, args.k, _resolve_jobs(args)), window)
-    entries = export_tensors(sets, ds, args.out, window=window)
+    sets = _augment_dataset(ds, p, args.k, _resolve_jobs(args))
+    sets, entries = export_tensors(sets, ds, args.out, window=window)
     elapsed = time.perf_counter() - start
     summary = _summary(sets, ds, elapsed)
     summary["tensors"] = len(entries)

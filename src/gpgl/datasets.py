@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentedSet
+from .augment import AugmentedLayout, AugmentedSet
 from .errors import DatasetParseError, MissingNodeLabelsError, WindowOverflowError
 from .graph import Graph
 from .grid import DEFAULT_WINDOW, build_grid_tensor
@@ -103,10 +103,6 @@ class DatasetStats:
         return asdict(self)
 
 
-def _read_lines(path: Path) -> list[str]:
-    return path.read_text().splitlines()
-
-
 def _parse_int(text: str, path: Path, line_no: int) -> int:
     try:
         return int(text.strip())
@@ -116,6 +112,11 @@ def _parse_int(text: str, path: Path, line_no: int) -> int:
             path=str(path),
             line=line_no,
         ) from None
+
+
+def _read_ints(path: Path) -> list[int]:
+    """One integer per line of ``path``."""
+    return [_parse_int(text, path, i + 1) for i, text in enumerate(path.read_text().splitlines())]
 
 
 def _find_prefix(directory: Path) -> str:
@@ -155,10 +156,7 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
         if not required.is_file():
             raise DatasetParseError("missing required file", path=str(required))
 
-    indicator = [
-        _parse_int(text, indicator_path, i + 1)
-        for i, text in enumerate(_read_lines(indicator_path))
-    ]
+    indicator = _read_ints(indicator_path)
     num_nodes = len(indicator)
     if num_nodes == 0:
         raise DatasetParseError("no vertices", path=str(indicator_path))
@@ -188,7 +186,7 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
         )
 
     edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
-    for i, text in enumerate(_read_lines(edges_path)):
+    for i, text in enumerate(edges_path.read_text().splitlines()):
         if not text.strip():
             continue
         parts = text.split(",")
@@ -219,10 +217,7 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
             )
         edge_lists[gu - 1].append((int(local_index[u - 1]), int(local_index[v - 1])))
 
-    raw_labels = [
-        _parse_int(text, labels_path, i + 1)
-        for i, text in enumerate(_read_lines(labels_path))
-    ]
+    raw_labels = _read_ints(labels_path)
     if len(raw_labels) != num_graphs:
         raise DatasetParseError(
             f"{len(raw_labels)} labels for {num_graphs} graphs",
@@ -235,10 +230,7 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
     node_labels = None
     node_labels_path = directory / f"{prefix}_node_labels.txt"
     if node_labels_path.is_file():
-        values = [
-            _parse_int(text, node_labels_path, i + 1)
-            for i, text in enumerate(_read_lines(node_labels_path))
-        ]
+        values = _read_ints(node_labels_path)
         if len(values) != num_nodes:
             raise DatasetParseError(
                 f"{len(values)} node labels for {num_nodes} vertices",
@@ -341,36 +333,49 @@ def export_tensors(
     ds: GraphDataset,
     path: str | Path,
     window: tuple[int, int] = DEFAULT_WINDOW,
-) -> list[ManifestEntry]:
+) -> tuple[list[AugmentedSet], list[ManifestEntry]]:
     """Write the grid tensors of augmented layouts to a container.
 
-    Failed layout runs are skipped, so the container count is the number
-    of successful runs. Each tensor is built straight into its slot of
-    the one ``(N, H, W, F)`` batch that is written out. The manifest
-    sidecar is written next to the container. Returns the manifest
-    entries.
+    A layout larger than ``window`` is never cropped: its run becomes a
+    failed run that keeps its seed and carries the overflow as its error.
+    Failed runs are skipped, so the container count is the number of
+    runs that fit. Each tensor goes into its slot of the one
+    ``(N, H, W, F)`` batch that is written out, with the manifest
+    sidecar next to it. Returns the sets, overflows marked failed, and
+    the manifest entries. When layouts overflowed and none fits, raises
+    the first overflow, prefixed ``graph <id>: ``.
     """
-    runs = [
-        (s.graph_id, lay) for s in sets for lay in s.successful()
-    ]
+    runs = sum(len(s.successful()) for s in sets)
     if not runs:
         raise ValueError("nothing to export: no successful layouts")
     if ds.features is None:
         raise ValueError(f"dataset {ds.name!r} has no features; run featurize first")
-    tensors = np.empty((len(runs), *window, ds.features[0].shape[1]), dtype=np.float32)
+    tensors = None
+    fitted = []
     entries = []
-    for i, (graph_id, lay) in enumerate(runs):
-        try:
-            tensors[i] = build_grid_tensor(lay.grid, ds.features[graph_id], window=window)
-        except WindowOverflowError as exc:
-            raise WindowOverflowError(f"graph {graph_id}: {exc}") from None
-        entries.append(
-            ManifestEntry(
-                graph_id=graph_id,
-                layout_seed=lay.seed,
-                label=int(ds.labels[graph_id]),
-            )
-        )
-    write_container(path, tensors)
+    first = None
+    for s in sets:
+        layouts = []
+        for lay in s.layouts:
+            if not lay.failed:
+                try:
+                    tensor = build_grid_tensor(lay.grid, ds.features[s.graph_id], window=window)
+                except WindowOverflowError as exc:
+                    first = first or WindowOverflowError(f"graph {s.graph_id}: {exc}")
+                    lay = AugmentedLayout(lay.seed, None, None, f"{type(exc).__name__}: {exc}")
+                else:
+                    # Sized from the first tensor built, so a window that no
+                    # layout fits, even a negative one, allocates nothing.
+                    if tensors is None:
+                        tensors = np.empty((runs, *tensor.shape), dtype=np.float32)
+                    tensors[len(entries)] = tensor
+                    entries.append(
+                        ManifestEntry(s.graph_id, lay.seed, int(ds.labels[s.graph_id]))
+                    )
+            layouts.append(lay)
+        fitted.append(replace(s, layouts=tuple(layouts)))
+    if not entries:
+        raise first
+    write_container(path, tensors[: len(entries)])
     write_manifest(manifest_path_for(path), entries)
-    return entries
+    return fitted, entries

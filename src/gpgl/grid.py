@@ -5,33 +5,22 @@ A grid layout plus per-vertex feature vectors becomes a fixed-size
 cell, empty cells stay zero, and vertices that collided on one cell are
 averaged. How many vertices collided is counted once, by the layout's
 phase scan (``LayoutDiagnostics.lost_vertices``). A layout larger than
-the window is never cropped: ``fit_window`` records it as a failed run.
+the window is never cropped: ``build_grid_tensor`` raises, and
+``datasets.export_tensors`` records the run as failed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
 
 import numpy as np
 
-from .augment import AugmentedLayout, AugmentedSet
 from .errors import WindowOverflowError
 from .layout import GridLayout
 
-__all__ = ["build_grid_tensor", "fit_window", "DEFAULT_WINDOW"]
+__all__ = ["build_grid_tensor", "DEFAULT_WINDOW"]
 
 DEFAULT_WINDOW = (64, 64)
-
-
-def _check_window(gl: GridLayout, window: tuple[int, int]) -> None:
-    """Raise ``WindowOverflowError`` if ``gl`` spans more cells than ``window``."""
-    height, width = window
-    rows, cols = gl.extent()
-    if rows > height or cols > width:
-        raise WindowOverflowError(
-            f"layout spans {rows}x{cols}, window is {height}x{width}"
-        )
 
 
 def build_grid_tensor(
@@ -58,8 +47,12 @@ def build_grid_tensor(
         raise ValueError(
             f"features must be ({gl.n}, F), got {feats.shape}"
         )
-    _check_window(gl, window)
     height, width = window
+    rows, cols = gl.extent()
+    if rows > height or cols > width:
+        raise WindowOverflowError(
+            f"layout spans {rows}x{cols}, window is {height}x{width}"
+        )
     by_cell: dict[tuple[int, int], list[int]] = defaultdict(list)
     for v, (r, c) in enumerate(gl.cells):
         by_cell[(int(r), int(c))].append(v)
@@ -68,28 +61,3 @@ def build_grid_tensor(
     for (r, c), members in by_cell.items():
         data[r, c] = feats[members].mean(axis=0)
     return data
-
-
-def fit_window(sets: list[AugmentedSet], window: tuple[int, int]) -> list[AugmentedSet]:
-    """Record each layout that does not fit ``window`` as a failed run.
-
-    The run keeps its seed and carries the overflow as its error, in the
-    form ``augment`` gives a failed run. When layouts overflowed and
-    none fits, raises the first overflow, prefixed ``graph <id>: ``.
-    """
-    fitted = []
-    first = None
-    for s in sets:
-        layouts = []
-        for lay in s.layouts:
-            if not lay.failed:
-                try:
-                    _check_window(lay.grid, window)
-                except WindowOverflowError as exc:
-                    first = first or WindowOverflowError(f"graph {s.graph_id}: {exc}")
-                    lay = AugmentedLayout(lay.seed, None, None, f"{type(exc).__name__}: {exc}")
-            layouts.append(lay)
-        fitted.append(replace(s, layouts=tuple(layouts)))
-    if first is not None and not any(s.successful() for s in fitted):
-        raise first
-    return fitted

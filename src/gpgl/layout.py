@@ -157,6 +157,8 @@ class LayoutParams:
             raise ValueError("max_iters must be >= 1")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,6 @@ def _descend(
         gsq = float(np.add.reduce(flat * flat))
 
         t = step
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = x - t * grad
             try:
@@ -392,12 +393,9 @@ def _descend(
                 t *= 0.5
                 continue
             if math.isfinite(f_c) and f_c <= f - _ARMIJO_C * t * gsq:
-                accepted = True
+                step = t * 2.0
                 break
             t *= 0.5
-
-        if accepted:
-            step = t * 2.0
         else:
             # Hinge kinks can defeat backtracking; inch along the descent
             # direction with a fixed tiny displacement instead of halting.
@@ -444,18 +442,19 @@ def _descend_polished(
     rng = np.random.default_rng((p.seed, 0x9E37))
     stale = 0
     for _ in range(_POLISH_ROUNDS):
+        if stale >= _POLISH_PATIENCE:
+            break
         center = x_best.mean(axis=0)
         proposal = (
             center
             + (x_best - center) * _POLISH_CONTRACT
             + rng.normal(0.0, _POLISH_NOISE, x_best.shape)
         )
+        # A round is stale unless it improves: one that raises counts too.
+        stale += 1
         try:
             x_round, round_stats = _descend(proposal, s, alpha, lam, p)
         except (CoincidentVerticesError, NonFiniteLossError):
-            stale += 1
-            if stale >= _POLISH_PATIENCE:
-                break
             continue
         stats.iterations += round_stats.iterations
         stats.stops += round_stats.stops
@@ -465,10 +464,6 @@ def _descend_polished(
             stats.kk = round_stats.kk
             stats.sep = round_stats.sep
             stale = 0
-        else:
-            stale += 1
-            if stale >= _POLISH_PATIENCE:
-                break
     return x_best, stats
 
 

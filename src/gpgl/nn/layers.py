@@ -28,17 +28,13 @@ __all__ = [
 
 
 class Param:
-    """A named weight array plus its current gradient."""
+    """A weight array plus its current gradient."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray) -> None:
-        self.name = name
+    def __init__(self, value: np.ndarray) -> None:
         self.value = value
         self.grad = np.zeros_like(value)
-
-    def __repr__(self) -> str:
-        return f"Param({self.name}, shape={self.value.shape})"
 
 
 # Inference convolves at most this many im2col elements per matrix
@@ -54,12 +50,11 @@ class Conv3x3:
         cin: int,
         cout: int,
         rng: np.random.Generator,
-        name: str,
         dtype: np.dtype = np.float32,
     ) -> None:
         std = np.sqrt(2.0 / (9 * cin))
-        self.w = Param(f"{name}.w", rng.normal(0.0, std, (3, 3, cin, cout)).astype(dtype))
-        self.b = Param(f"{name}.b", np.zeros(cout, dtype=dtype))
+        self.w = Param(rng.normal(0.0, std, (3, 3, cin, cout)).astype(dtype))
+        self.b = Param(np.zeros(cout, dtype=dtype))
         self._x: np.ndarray | None = None
 
     def params(self) -> list[Param]:
@@ -109,20 +104,15 @@ class MsmConv:
         cout: int,
         scales: int,
         rng: np.random.Generator,
-        name: str,
         dtype: np.dtype = np.float32,
     ) -> None:
-        if scales < 1:
-            raise ValueError(f"scales must be >= 1, got {scales}")
         self.scales = scales
         self.branches: list[list[Conv3x3]] = []
         for s in range(scales):
             chain = []
             c_prev = cin
-            for depth in range(s + 1):
-                chain.append(
-                    Conv3x3(c_prev, cout, rng, f"{name}.b{s}.conv{depth}", dtype)
-                )
+            for _ in range(s + 1):
+                chain.append(Conv3x3(c_prev, cout, rng, dtype))
                 c_prev = cout
             self.branches.append(chain)
         self._winner: np.ndarray | None = None
@@ -175,8 +165,6 @@ class MaxPool2:
 
 class GlobalPool:
     def __init__(self, mode: str) -> None:
-        if mode not in ("max", "mean"):
-            raise ValueError(f"mode must be 'max' or 'mean', got {mode!r}")
         self.mode = mode
         self._cache: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
@@ -202,12 +190,11 @@ class Dense:
         din: int,
         dout: int,
         rng: np.random.Generator,
-        name: str,
         dtype: np.dtype = np.float32,
     ) -> None:
         std = np.sqrt(2.0 / din)
-        self.w = Param(f"{name}.w", rng.normal(0.0, std, (din, dout)).astype(dtype))
-        self.b = Param(f"{name}.b", np.zeros(dout, dtype=dtype))
+        self.w = Param(rng.normal(0.0, std, (din, dout)).astype(dtype))
+        self.b = Param(np.zeros(dout, dtype=dtype))
         self._x: np.ndarray | None = None
 
     def params(self) -> list[Param]:
@@ -246,8 +233,6 @@ class Dropout:
     """Inverted dropout; the identity when rate is 0 or train is False."""
 
     def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = rng
         self._mask: np.ndarray | None = None

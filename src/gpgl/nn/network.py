@@ -53,6 +53,8 @@ class NetworkConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("batch_size, epochs, patience out of range")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class MsmCnn:
@@ -85,18 +87,18 @@ class MsmCnn:
         layers: list = []
         c_prev = in_channels
         for i, c in enumerate(config.conv_channels):
-            layers.append(MsmConv(c_prev, c, config.scales, rng, f"msm{i}", dtype))
+            layers.append(MsmConv(c_prev, c, config.scales, rng, dtype))
             if i < len(config.conv_channels) - 1:
                 layers.append(MaxPool2())
             c_prev = c
         layers.append(GlobalPool(config.global_pool))
         d_prev = c_prev
-        for i, d in enumerate(config.fc_sizes):
-            layers.append(Dense(d_prev, d, rng, f"fc{i}", dtype))
+        for d in config.fc_sizes:
+            layers.append(Dense(d_prev, d, rng, dtype))
             layers.append(ReLU())
             layers.append(Dropout(config.dropout, self._dropout_rng))
             d_prev = d
-        layers.append(Dense(d_prev, num_classes, rng, "head", dtype))
+        layers.append(Dense(d_prev, num_classes, rng, dtype))
         self.layers = layers
         self._params = [p for layer in layers for p in layer.params()]
 

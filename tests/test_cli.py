@@ -474,6 +474,14 @@ class TestErrorHandling:
         assert err["message"].startswith(f"{name} must be finite")
         assert not out.exists()
 
+    def test_negative_seed(self, cli_dataset, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["layout", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "-1"]
+        code, stdout, stderr = run(capsys, argv + FAST)
+        assert code == 1 and stdout == ""
+        assert json.loads(stderr) == {"error": "ValueError", "message": "seed must be >= 0"}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "header",
         [

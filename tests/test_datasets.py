@@ -1,6 +1,7 @@
 """Tests for the benchmark loader, featurization, stats, and tensor export."""
 
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -262,7 +263,7 @@ class TestExportTensors:
             for i, g in enumerate(ds.graphs[:4])
         ]
         out = tmp_path / "synth.gt"
-        entries = export_tensors(sets, ds, out, window=(16, 16))
+        _, entries = export_tensors(sets, ds, out, window=(16, 16))
         tensors, header = read_container(out)
         assert header["count"] == len(entries) == 8
         assert tensors.shape == (8, 16, 16, 3)
@@ -314,7 +315,7 @@ class TestExportTensors:
         ]
         tracemalloc.start()
         try:
-            entries = export_tensors(sets, ds, tmp_path / "m.gt")
+            _, entries = export_tensors(sets, ds, tmp_path / "m.gt")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,6 +328,27 @@ class TestExportTensors:
         with pytest.raises(WindowOverflowError, match=r"^graph 2: layout spans \d+x\d+, window is 1x1$"):
             export_tensors(sets, ds, tmp_path / "x.gt", window=(1, 1))
         assert not (tmp_path / "x.gt").exists()
+
+    def test_overflowing_run_fails_alone(self, synth_dataset_dir, tmp_path):
+        # Graph 1 is a 6-vertex path; its layout does not fit 4x4, the
+        # layouts of graphs 0 and 2 do.
+        ds = featurize(load_tudataset(synth_dataset_dir))
+        sets = [
+            augment(g, LayoutParams(max_iters=40), 1, graph_id=i)
+            for i, g in enumerate(ds.graphs[:3])
+        ]
+        out = tmp_path / "o.gt"
+        fitted, entries = export_tensors(sets, ds, out, window=(4, 4))
+        (overflow,) = fitted[1].layouts
+        assert overflow.failed and overflow.seed == sets[1].layouts[0].seed
+        assert re.fullmatch(r"WindowOverflowError: layout spans \d+x\d+, window is 4x4", overflow.error)
+        assert fitted[0].layouts == sets[0].layouts and fitted[2].layouts == sets[2].layouts
+        assert [e.graph_id for e in entries] == [0, 2]
+        assert read_manifest(f"{out}.manifest.json") == entries
+        tensors, _ = read_container(out)
+        for tensor, i in zip(tensors, (0, 2)):
+            expected = build_grid_tensor(sets[i].layouts[0].grid, ds.features[i], window=(4, 4))
+            assert np.array_equal(tensor, expected)
 
     def test_empty_rejected(self, synth_dataset_dir, tmp_path):
         ds = featurize(load_tudataset(synth_dataset_dir))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpgl.layout as layout_mod
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
-from gpgl.errors import GpglError
+from gpgl.errors import CoincidentVerticesError, GpglError
 from gpgl.graph import Graph, shortest_path_distances
 from gpgl.layout import (
     GridLayout,
@@ -236,6 +237,12 @@ class TestMinimize:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LayoutParams(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_rejects_negative_seed(self, seed):
+        # numpy's own message for a negative seed names no parameter.
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            LayoutParams(seed=seed)
+
 
 class TestGpglLayout:
     """The per-component pipeline, on connected graphs."""
@@ -309,6 +316,73 @@ class TestStopReasons:
             assert set(diag.stops) == {"progress"}
             per_descent = (diag.kk_iterations + diag.gpgl_iterations) / diag.stops["progress"]
             assert per_descent < p.max_iters / 4
+
+
+class TestDescentBranches:
+    """Backtracking and polish branches that ordinary layouts rarely take."""
+
+    p = LayoutParams(max_iters=30)
+
+    def _start(self):
+        s = shortest_path_distances(cycle_graph(6))
+        return circular_init(6, 0).coords, s
+
+    def test_blocked_off_the_start_returns_the_start(self, monkeypatch):
+        coords0, s = self._start()
+        evaluate = layout_mod._PairKernel.evaluate
+
+        def coincident_off_start(kernel, coords, hops, alpha, lam):
+            if not np.array_equal(coords, coords0):
+                raise CoincidentVerticesError("patched")
+            return evaluate(kernel, coords, hops, alpha, lam)
+
+        monkeypatch.setattr(layout_mod._PairKernel, "evaluate", coincident_off_start)
+        x, stats = layout_mod._descend(coords0, s.d, self.p.alpha, self.p.lam, self.p)
+        assert np.array_equal(x, coords0)
+        assert stats.iterations == 0
+        assert stats.stops == {"blocked": 1}
+
+    def test_coincident_first_candidate_halves_the_step(self, monkeypatch):
+        coords0, s = self._start()
+        _, grad = gpgl_loss_and_grad(Layout(coords0), s, self.p)
+        evaluate = layout_mod._PairKernel.evaluate
+        seen = []
+
+        def first_candidate_coincident(kernel, coords, hops, alpha, lam):
+            seen.append(coords.copy())
+            if len(seen) == 2:
+                raise CoincidentVerticesError("patched")
+            return evaluate(kernel, coords, hops, alpha, lam)
+
+        monkeypatch.setattr(layout_mod._PairKernel, "evaluate", first_candidate_coincident)
+        _, stats = layout_mod._descend(coords0, s.d, self.p.alpha, self.p.lam, self.p)
+        assert np.array_equal(seen[1], coords0 - grad)
+        assert np.array_equal(seen[2], coords0 - 0.5 * grad)
+        assert stats.iterations == self.p.max_iters
+        assert stats.stops == {"max_iters": 1}
+
+    @pytest.mark.parametrize("pattern", ["raise", "alternate"])
+    def test_polish_stops_after_patience_stale_rounds(self, monkeypatch, pattern):
+        # Every polish round is stale: it raises, or (alternating) it
+        # returns a loss no better than the first descent's.
+        coords0, s = self._start()
+        descend = layout_mod._descend
+        expected = descend(coords0, s.d, self.p.alpha, self.p.lam, self.p)
+        calls = []
+
+        def stale_rounds(coords, dist, alpha, lam, p):
+            calls.append(coords)
+            if len(calls) == 1:
+                return descend(coords, dist, alpha, lam, p)
+            if pattern == "raise" or len(calls) % 2 == 0:
+                raise CoincidentVerticesError("patched")
+            return coords, layout_mod._StageStats(0, math.inf, math.inf, 0.0, collections.Counter())
+
+        monkeypatch.setattr(layout_mod, "_descend", stale_rounds)
+        x, stats = layout_mod._descend_polished(coords0, s.d, self.p.alpha, self.p.lam, self.p)
+        assert len(calls) == 1 + layout_mod._POLISH_PATIENCE
+        assert np.array_equal(x, expected[0])
+        assert stats == expected[1]
 
 
 class TestLayoutGraph:

@@ -62,7 +62,7 @@ def test_maxout_inference_output_equals_training_output(stack):
 def test_blocked_inference_conv_equals_unblocked(n, shape, cout, seed):
     side, cin = shape
     rng = np.random.default_rng(seed)
-    conv = Conv3x3(cin, cout, rng, "conv")
+    conv = Conv3x3(cin, cout, rng)
     conv.b.value = rng.normal(size=cout).astype(np.float32)
     x = rng.normal(size=(n, side, side, cin)).astype(np.float32)
     expected, _ = ops.conv2d_forward(x, conv.w.value, conv.b.value)

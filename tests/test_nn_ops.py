@@ -127,10 +127,10 @@ class TestMsmConvLayer:
         # All branch stacks reduced to identity convolutions: every
         # branch output equals x, so the maxout equals x too.
         rng = np.random.default_rng(6)
-        layer = MsmConv(2, 2, scales=3, rng=rng, name="msm")
+        layer = MsmConv(2, 2, scales=3, rng=rng)
         for p in layer.params():
             p.value[:] = 0.0
-            if p.name.endswith(".w"):
+            if p.value.ndim == 4:
                 for c in range(2):
                     p.value[1, 1, c, c] = 1.0
         x = np.abs(np.random.default_rng(7).normal(size=(1, 5, 5, 2)))
@@ -139,7 +139,7 @@ class TestMsmConvLayer:
 
     def test_matches_explicit_branch_max(self):
         rng = np.random.default_rng(8)
-        layer = MsmConv(3, 4, scales=3, rng=rng, name="msm")
+        layer = MsmConv(3, 4, scales=3, rng=rng)
         x = np.random.default_rng(9).normal(size=(2, 6, 6, 3))
         out = layer.forward(x, train=False)
         branches = []
@@ -153,7 +153,7 @@ class TestMsmConvLayer:
             assert np.all(out >= b - 1e-12)
 
     def test_branch_depth_is_scale_plus_one(self):
-        layer = MsmConv(1, 2, scales=3, rng=np.random.default_rng(0), name="msm")
+        layer = MsmConv(1, 2, scales=3, rng=np.random.default_rng(0))
         assert [len(branch) for branch in layer.branches] == [1, 2, 3]
 
     def test_receptive_field_radius(self):
@@ -161,7 +161,7 @@ class TestMsmConvLayer:
         # reach Chebyshev radius s+1 and no further.
         rng = np.random.default_rng(10)
         for s in range(3):
-            layer = MsmConv(1, 1, scales=s + 1, rng=rng, name="msm")
+            layer = MsmConv(1, 1, scales=s + 1, rng=rng)
             branch = layer.branches[s]
             x = np.zeros((1, 11, 11, 1))
             base = x

@@ -48,6 +48,27 @@ def small_config(**overrides):
     return NetworkConfig(**base)
 
 
+class TestNetworkConfig:
+    """``NetworkConfig`` is the one place that checks the CNN's settings;
+    the layers it configures do not check them again."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("scales", 0, "scales must be >= 1"),
+            ("global_pool", "sum", "global_pool must be 'max' or 'mean'"),
+            ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
+            ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
+            ("seed", -1, "^seed must be >= 0$"),
+            ("seed", -(2**40), "^seed must be >= 0$"),
+        ],
+        ids=["scales", "global_pool", "dropout_one", "dropout_negative", "seed", "seed_large"],
+    )
+    def test_rejects_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(**{field: value})
+
+
 class TestMajorityVote:
     def test_simple_majority(self):
         assert majority_vote(np.array([1, 1, 0])) == 1
@@ -87,14 +108,14 @@ class TestMakeGraphFolds:
 
 class TestAdam:
     def test_first_step_size_is_lr(self):
-        p = Param("w", np.array([5.0]))
+        p = Param(np.array([5.0]))
         opt = Adam([p], lr=0.1)
         p.grad = np.array([3.0])
         opt.step()
         assert p.value[0] == pytest.approx(5.0 - 0.1, abs=1e-6)
 
     def test_minimizes_quadratic(self):
-        p = Param("w", np.array([1.0]))
+        p = Param(np.array([1.0]))
         opt = Adam([p], lr=0.1)
         for _ in range(300):
             p.grad = p.value.copy()
@@ -102,7 +123,7 @@ class TestAdam:
         assert abs(p.value[0]) < 1e-2
 
     def test_zero_lr_freezes_params(self):
-        p = Param("w", np.array([2.0, -3.0]))
+        p = Param(np.array([2.0, -3.0]))
         opt = Adam([p], lr=0.0)
         for _ in range(5):
             p.grad = np.array([10.0, -4.0])
