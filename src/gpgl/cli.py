@@ -13,6 +13,7 @@ JSON object to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import multiprocessing
 import sys
@@ -23,12 +24,11 @@ from pathlib import Path
 from .augment import AugmentedSet, augment
 from .datasets import GraphDataset, dataset_stats, export_tensors, featurize, load_tudataset
 from .errors import GpglError
-from .graph import Graph
 from .grid import DEFAULT_WINDOW
 from .layout import LayoutParams
 from .nn.network import NetworkConfig
 from .nn.train import load_container_training_set, train
-from .render import render_graph_svg
+from .render import render_svg
 from .tensor_io import atomic_open, manifest_path_for, write_json
 
 __all__ = ["main", "build_parser"]
@@ -38,54 +38,21 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _add_layout_flags(parser: argparse.ArgumentParser) -> None:
-    d = LayoutParams()
-    group = parser.add_argument_group("layout")
-    group.add_argument("--alpha", type=float, default=d.alpha, help="separation radius")
-    group.add_argument(
-        "--lambda", dest="lam", type=float, default=d.lam, help="penalty weight"
-    )
-    group.add_argument("--gamma", type=float, default=d.gamma, help="rescale floor")
-    group.add_argument(
-        "--rescale",
-        dest="enable_rescale",
-        action="store_true",
-        default=d.enable_rescale,
-        help="rescale between the two stages",
-    )
-    group.add_argument("--max-iters", type=int, default=d.max_iters)
-    group.add_argument("--grad-tol", type=float, default=d.grad_tol)
-    group.add_argument("--seed", type=int, default=d.seed)
-
-
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-
-
-def _params_from_args(args: argparse.Namespace) -> LayoutParams:
-    # Each layout flag's dest is the LayoutParams field it sets.
-    return LayoutParams(**{f.name: getattr(args, f.name) for f in fields(LayoutParams)})
-
-
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
-    return args.jobs
-
-
-def _augment_job(task: tuple[int, Graph, LayoutParams, int]) -> AugmentedSet:
-    graph_id, g, p, k = task
-    return augment(g, p, k, graph_id=graph_id)
+def _from_args(cls, args: argparse.Namespace):
+    # Each flag's dest is the field of ``cls`` it sets.
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _augment_dataset(
     ds: GraphDataset, p: LayoutParams, k: int, jobs: int
 ) -> list[AugmentedSet]:
-    tasks = [(i, g, p, k) for i, g in enumerate(ds.graphs)]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(g, p, k, i) for i, g in enumerate(ds.graphs)]
     if jobs == 1:
-        return [_augment_job(t) for t in tasks]
+        return list(itertools.starmap(augment, tasks))
     with multiprocessing.Pool(jobs) as pool:
-        return list(pool.imap(_augment_job, tasks, chunksize=8))
+        return pool.starmap(augment, tasks, chunksize=8)
 
 
 def _write_run_files(
@@ -127,9 +94,9 @@ def _summary(sets: list[AugmentedSet], ds: GraphDataset, elapsed: float) -> dict
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     ds = load_tudataset(args.dataset)
-    p = _params_from_args(args)
+    p = _from_args(LayoutParams, args)
     start = time.perf_counter()
-    sets = _augment_dataset(ds, p, args.k, _resolve_jobs(args))
+    sets = _augment_dataset(ds, p, args.k, args.jobs)
     elapsed = time.perf_counter() - start
     _write_run_files(Path(args.out), sets, p, args.k)
     print(_json_line(_summary(sets, ds, elapsed)))
@@ -146,10 +113,10 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     ds = featurize(load_tudataset(args.dataset), mode=args.features)
-    p = _params_from_args(args)
+    p = _from_args(LayoutParams, args)
     start = time.perf_counter()
     window = _parse_window(args.window)
-    sets = _augment_dataset(ds, p, args.k, _resolve_jobs(args))
+    sets = _augment_dataset(ds, p, args.k, args.jobs)
     sets, entries = export_tensors(sets, ds, args.out, window=window)
     elapsed = time.perf_counter() - start
     summary = _summary(sets, ds, elapsed)
@@ -179,7 +146,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     ds = load_tudataset(args.dataset)
-    p = _params_from_args(args)
+    p = _from_args(LayoutParams, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = range(len(ds.graphs)) if args.graph is None else [args.graph]
@@ -191,7 +158,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if lay.failed:
             failed += 1
             continue
-        svg = render_graph_svg(ds.graphs[i], lay.grid, cell_size=args.cell_size)
+        svg = render_svg(ds.graphs[i], lay.grid, cell_size=args.cell_size)
         with atomic_open(out_dir / f"graph_{i}.svg") as fh:
             fh.write(svg.encode())
     summary = {"rendered": len(indices) - failed, "failed": failed, "out": str(out_dir)}
@@ -203,14 +170,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _config_from_args(args: argparse.Namespace) -> NetworkConfig:
-    # Each network flag's dest is the NetworkConfig field it sets.
-    return NetworkConfig(**{f.name: getattr(args, f.name) for f in fields(NetworkConfig)})
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     tensors, labels, graph_ids = load_container_training_set(args.tensors)
-    config = _config_from_args(args)
+    config = _from_args(NetworkConfig, args)
     start = time.perf_counter()
     result = train(
         tensors,
@@ -243,24 +205,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_layout = sub.add_parser("layout", help="one grid layout per graph")
-    p_layout.add_argument("--dataset", required=True, help="dataset directory")
-    p_layout.add_argument("--out", required=True, help="output directory")
-    _add_layout_flags(p_layout)
-    _add_jobs_flag(p_layout)
+    d = LayoutParams()
+    layout_flags = argparse.ArgumentParser(add_help=False)
+    layout_flags.add_argument("--dataset", required=True, help="dataset directory")
+    layout_flags.add_argument(
+        "--out", required=True, help="output directory, or container file for export"
+    )
+    group = layout_flags.add_argument_group("layout")
+    group.add_argument("--alpha", type=float, default=d.alpha, help="separation radius")
+    group.add_argument(
+        "--lambda", dest="lam", type=float, default=d.lam, help="penalty weight"
+    )
+    group.add_argument("--gamma", type=float, default=d.gamma, help="rescale floor")
+    group.add_argument(
+        "--rescale",
+        dest="enable_rescale",
+        action="store_true",
+        default=d.enable_rescale,
+        help="rescale between the two stages",
+    )
+    group.add_argument("--max-iters", type=int, default=d.max_iters)
+    group.add_argument("--grad-tol", type=float, default=d.grad_tol)
+    group.add_argument("--seed", type=int, default=d.seed)
+    jobs_flag = argparse.ArgumentParser(add_help=False)
+    jobs_flag.add_argument("--jobs", type=int, default=1, help="worker processes")
+
+    p_layout = sub.add_parser(
+        "layout", parents=[layout_flags, jobs_flag], help="one grid layout per graph"
+    )
     p_layout.set_defaults(func=_cmd_augment, k=1)
 
-    p_aug = sub.add_parser("augment", help="k layouts per graph")
-    p_aug.add_argument("--dataset", required=True)
-    p_aug.add_argument("--out", required=True)
+    p_aug = sub.add_parser("augment", parents=[layout_flags, jobs_flag], help="k layouts per graph")
     p_aug.add_argument("-k", type=int, default=5, help="layouts per graph")
-    _add_layout_flags(p_aug)
-    _add_jobs_flag(p_aug)
     p_aug.set_defaults(func=_cmd_augment)
 
-    p_exp = sub.add_parser("export", help="augment and pack tensors")
-    p_exp.add_argument("--dataset", required=True)
-    p_exp.add_argument("--out", required=True, help="container file path")
+    p_exp = sub.add_parser(
+        "export", parents=[layout_flags, jobs_flag], help="augment and pack tensors"
+    )
     p_exp.add_argument("-k", type=int, default=5)
     p_exp.add_argument(
         "--features",
@@ -268,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p_exp.add_argument("--window", default="%dx%d" % DEFAULT_WINDOW, help="window size, N or HxW")
-    _add_layout_flags(p_exp)
-    _add_jobs_flag(p_exp)
     p_exp.set_defaults(func=_cmd_export)
 
     p_stats = sub.add_parser("stats", help="corpus summary statistics")
@@ -277,12 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--json", action="store_true")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_render = sub.add_parser("render", help="draw layouts as SVG")
-    p_render.add_argument("--dataset", required=True)
-    p_render.add_argument("--out", required=True, help="output directory")
+    p_render = sub.add_parser("render", parents=[layout_flags], help="draw layouts as SVG")
     p_render.add_argument("--graph", type=int, default=None, help="single graph index")
     p_render.add_argument("--cell-size", type=int, default=40)
-    _add_layout_flags(p_render)
     p_render.set_defaults(func=_cmd_render)
 
     p_train = sub.add_parser("train", help="cross-validated CNN training")

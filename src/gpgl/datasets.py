@@ -141,8 +141,8 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
 
     Vertex and graph numbering in the files is 1-based. Duplicate and
     reversed edge listings collapse to one undirected edge. Malformed
-    lines and self-loops raise DatasetParseError carrying the file and
-    line number; vertex indices outside 1..N raise IndexError.
+    lines, self-loops and vertex indices outside 1..N raise
+    DatasetParseError carrying the file and line number.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -200,9 +200,10 @@ def load_tudataset(directory: str | Path) -> GraphDataset:
         v = _parse_int(parts[1], edges_path, i + 1)
         for endpoint in (u, v):
             if not 1 <= endpoint <= num_nodes:
-                raise IndexError(
-                    f"{edges_path.name}:{i + 1}: vertex {endpoint} out of "
-                    f"range 1..{num_nodes}"
+                raise DatasetParseError(
+                    f"vertex {endpoint} out of range 1..{num_nodes}",
+                    path=str(edges_path),
+                    line=i + 1,
                 )
         if u == v:
             raise DatasetParseError(

@@ -48,9 +48,6 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 30
-# Displacement magnitude of the fixed fallback step taken when
-# backtracking cannot find a decrease (grid-cell units).
-_FALLBACK_DISPLACEMENT = 1e-6
 # A descent stops once its best loss fell by at most
 # _PROGRESS_TOL * max(1, |best|) over the last _PROGRESS_WINDOW
 # iterations: near a hinge kink the iterate only dithers, and a tighter
@@ -358,9 +355,10 @@ def _descend(
     (the gradient max-norm is at most ``p.grad_tol``), ``progress`` (the
     best loss fell by at most ``_PROGRESS_TOL * max(1, |best|)`` over the
     last ``_PROGRESS_WINDOW`` iterations), ``max_iters``, or ``blocked``
-    (the fallback step would make two vertices coincide). Returns the
-    best iterate seen, so the reported loss never exceeds the starting
-    loss even when fallback steps wander uphill.
+    (no step of ``_MAX_BACKTRACKS`` halvings lowered the loss enough).
+    Returns the best iterate seen: a step whose required decrease is below
+    the loss's rounding is accepted with the loss bit-identical while the
+    coordinates move, and the first iterate at the best loss is kept.
     """
     kernel = _pair_kernel(coords0.shape[0])
     hops = kernel.pair_values(s)
@@ -397,20 +395,10 @@ def _descend(
                 break
             t *= 0.5
         else:
-            # Hinge kinks can defeat backtracking; inch along the descent
-            # direction with a fixed tiny displacement instead of halting.
-            t = _FALLBACK_DISPLACEMENT / gmax
-            cand = x - t * grad
-            try:
-                f_c, kk_c, sep_c, pairs_c = kernel.evaluate(cand, hops, alpha, lam)
-            except CoincidentVerticesError:
-                reason = "blocked"
-                break
-            step = max(t * 2.0, _FALLBACK_DISPLACEMENT)
+            reason = "blocked"
+            break
 
         x, f, kk, sep, pairs = cand, f_c, kk_c, sep_c, pairs_c
-        if not math.isfinite(f):
-            raise NonFiniteLossError(f"loss diverged to {f}")
         if f < best[0]:
             best_x, best = x.copy(), (f, kk, sep)
         best_losses.append(best[0])
@@ -502,11 +490,10 @@ def minimize(layout0: Layout, s: DistanceMatrix, p: LayoutParams) -> Layout:
 
     Descends the full gradient with Armijo backtracking until the gradient
     max-norm drops to ``p.grad_tol``, the iteration cap is hit, the best
-    loss stops improving over a window of iterations, or the fallback
-    step is blocked by a coincident pair; when the separation penalty is
-    active the result is refined by compaction cycling. The returned
-    layout never has higher loss than the input. Deterministic for fixed
-    inputs.
+    loss stops improving over a window of iterations, or no backtracking
+    step lowers the loss; when the separation penalty is active the result
+    is refined by compaction cycling. The returned layout never has higher
+    loss than the input. Deterministic for fixed inputs.
     """
     _checked_kernel(layout0, s)
     coords, _ = _descend_polished(layout0.coords, s.d, p.alpha, p.lam, p)

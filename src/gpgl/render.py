@@ -8,12 +8,10 @@ tests can parse vertex positions back exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .graph import Graph
 from .layout import GridLayout
 
-__all__ = ["render_svg", "render_graph_svg"]
+__all__ = ["render_svg"]
 
 # Blank border around the drawing, in cells.
 _MARGIN = 1
@@ -26,17 +24,15 @@ _STYLE = (
 )
 
 
-def render_svg(
-    grid: GridLayout,
-    edges: Iterable[tuple[int, int]] = (),
-    cell_size: int = 40,
-) -> str:
-    """Render a grid layout to an SVG document string.
+def render_svg(graph: Graph, grid: GridLayout, cell_size: int = 40) -> str:
+    """Render a graph's grid layout, with its edges, to an SVG document
+    string.
 
-    ``edges`` are vertex index pairs, typically ``graph.edge_array()``
-    rows. Cell (row, col) maps to pixel x = (col + 1) * cell_size,
+    Cell (row, col) maps to pixel x = (col + 1) * cell_size,
     y = (row + 1) * cell_size, leaving a one-cell margin on every side.
     """
+    if graph.num_vertices != grid.n:
+        raise ValueError("graph and layout disagree on vertex count")
     if cell_size < 1:
         raise ValueError("cell_size must be >= 1")
     rows, cols = grid.extent()
@@ -56,7 +52,7 @@ def render_svg(
         f"<style>{_STYLE}</style>",
         '<g id="edges">',
     ]
-    for u, v in edges:
+    for u, v in graph.edge_array():
         ux, uy = corner(int(u))
         vx, vy = corner(int(v))
         parts.append(
@@ -80,13 +76,3 @@ def render_svg(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def render_graph_svg(graph: Graph, grid: GridLayout, cell_size: int = 40) -> str:
-    """Convenience wrapper: render a layout with its graph's edges."""
-    if graph.num_vertices != grid.n:
-        raise ValueError("graph and layout disagree on vertex count")
-    return render_svg(
-        grid,
-        edges=[(int(u), int(v)) for u, v in graph.edge_array()],
-        cell_size=cell_size,
-    )

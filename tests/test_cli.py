@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 import gpgl.augment
 from conftest import complete_graph, cycle_graph, path_graph, write_tu_dataset
-from gpgl.cli import _config_from_args, _params_from_args, _parse_window, build_parser, main
+from gpgl.cli import _from_args, _parse_window, build_parser, main
 from gpgl.datasets import load_tudataset
 from gpgl.errors import NonFiniteLossError
 from gpgl.grid import DEFAULT_WINDOW
 from gpgl.layout import LayoutParams, layout_graph
-from gpgl.render import render_graph_svg
+from gpgl.render import render_svg
 from gpgl.nn.network import NetworkConfig
 from gpgl.tensor_io import (
     ManifestEntry,
@@ -45,6 +45,22 @@ def cli_dataset(tmp_path):
     return write_cli_dataset(tmp_path)
 
 
+@pytest.fixture
+def ten_graph_dataset(tmp_path):
+    """Ten graphs: two chunks of work for a pool of two workers."""
+    graphs = [cycle_graph(3 + i % 4) if i % 2 else path_graph(2 + i % 5) for i in range(10)]
+    node_labels = [[v % 2 for v in range(g.num_vertices)] for g in graphs]
+    return write_tu_dataset(tmp_path, "TEN", graphs, [i % 2 for i in range(10)], node_labels)
+
+
+def run_jobs_1_and_2(capsys, argv, out_of):
+    """Run ``argv`` with ``--jobs 1`` and ``--jobs 2``, writing to
+    ``out_of("1")`` and ``out_of("2")``."""
+    for jobs in ("1", "2"):
+        code, _, stderr = run(capsys, argv + ["--out", str(out_of(jobs)), "--jobs", jobs] + FAST)
+        assert code == 0, stderr
+
+
 FAST = ["--max-iters", "60"]
 
 
@@ -60,11 +76,11 @@ class TestDefaults:
     @pytest.mark.parametrize("command", ["layout", "augment", "export", "render"])
     def test_layout_flags(self, command):
         args = build_parser().parse_args([command, "--dataset", "d", "--out", "o"])
-        assert _params_from_args(args) == LayoutParams()
+        assert _from_args(LayoutParams, args) == LayoutParams()
 
     def test_train_flags(self):
         args = build_parser().parse_args(["train", "--tensors", "t"])
-        assert _config_from_args(args) == NetworkConfig()
+        assert _from_args(NetworkConfig, args) == NetworkConfig()
 
     def test_export_window(self):
         args = build_parser().parse_args(["export", "--dataset", "d", "--out", "o"])
@@ -153,15 +169,11 @@ class TestLayoutCommand:
         for fname in ("layouts.json", "diagnostics.jsonl"):
             assert (tmp_path / "l" / fname).read_bytes() == (tmp_path / "a" / fname).read_bytes()
 
-    def test_parallel_jobs(self, cli_dataset, tmp_path, capsys):
-        out = tmp_path / "par"
-        code, stdout, _ = run(
-            capsys,
-            ["layout", "--dataset", str(cli_dataset), "--out", str(out), "--jobs", "2"]
-            + FAST,
-        )
-        assert code == 0
-        assert json.loads(stdout)["graphs"] == 4
+    def test_parallel_jobs(self, ten_graph_dataset, tmp_path, capsys):
+        argv = ["layout", "--dataset", str(ten_graph_dataset)]
+        run_jobs_1_and_2(capsys, argv, lambda jobs: tmp_path / jobs)
+        for fname in ("layouts.json", "diagnostics.jsonl"):
+            assert (tmp_path / "2" / fname).read_bytes() == (tmp_path / "1" / fname).read_bytes()
 
     def test_jobs_zero_rejected(self, cli_dataset, tmp_path, capsys):
         code, stdout, stderr = run(
@@ -264,6 +276,13 @@ class TestExportCommand:
         entries = read_manifest(f"{out}.manifest.json")
         assert len(entries) == 8
         assert {e.graph_id for e in entries} == {0, 1, 2, 3}
+
+    def test_parallel_jobs(self, ten_graph_dataset, tmp_path, capsys):
+        argv = ["export", "--dataset", str(ten_graph_dataset), "-k", "2", "--window", "16"]
+        run_jobs_1_and_2(capsys, argv, lambda jobs: tmp_path / f"{jobs}.gt")
+        containers = [tmp_path / "1.gt", tmp_path / "2.gt"]
+        for one, two in (containers, [manifest_path_for(c) for c in containers]):
+            assert two.read_bytes() == one.read_bytes()
 
     def test_rectangular_window_and_degree_features(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "cli2.gt"
@@ -369,7 +388,7 @@ class TestRenderCommand:
         # A drawn graph shows its seed-0 layout, as layout_graph gives it.
         g = load_tudataset(cli_dataset).graphs[3]
         grid, _ = layout_graph(g, LayoutParams(max_iters=60))
-        assert (out / "graph_3.svg").read_text() == render_graph_svg(g, grid, cell_size=40)
+        assert (out / "graph_3.svg").read_text() == render_svg(g, grid, cell_size=40)
 
 
 class TestTrainCommand:
@@ -538,8 +557,9 @@ class TestErrorHandling:
             ("graph_indicator", "1\n100000000000000000000\n"),
             ("graph_indicator", "1\n9223372036854775807\n"),
             ("node_labels", "0\n1\n" + str(2**70) + "\n"),
+            ("A", "1, 2\n2, 9999\n"),
         ],
-        ids=["huge-graph-id", "int64-max-graph-id", "huge-node-label"],
+        ids=["huge-graph-id", "int64-max-graph-id", "huge-node-label", "edge-endpoint-out-of-range"],
     )
     def test_stats_malformed_dataset_file(self, tmp_path, capsys, suffix, text):
         d = write_tu_dataset(tmp_path, "BAD", [path_graph(3)], [0], [[0, 1, 0]])

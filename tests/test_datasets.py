@@ -85,9 +85,12 @@ class TestLoadTudataset:
     def test_edge_endpoint_out_of_range(self, tmp_path):
         d = write_tu_dataset(tmp_path, "OOR", [path_graph(3)], [0])
         path = d / "OOR_A.txt"
+        line = len(path.read_text().splitlines()) + 1
         path.write_text(path.read_text() + "1, 99\n")
-        with pytest.raises(IndexError):
+        with pytest.raises(DatasetParseError) as err:
             load_tudataset(d)
+        assert str(err.value).startswith("vertex 99 out of range 1..3 (")
+        assert str(err.value).endswith(f"OOR_A.txt:{line})")
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

@@ -342,6 +342,18 @@ class TestDescentBranches:
         assert stats.iterations == 0
         assert stats.stops == {"blocked": 1}
 
+    def test_pair_at_the_hinge_kink_is_blocked_at_the_start(self):
+        # One edge, its ends exactly alpha apart: stress pulls them
+        # together, and any step that way costs more hinge penalty than
+        # it saves, so no halving passes the Armijo test.
+        p = LayoutParams()
+        coords0 = np.array([[0.0, 0.0], [p.alpha, 0.0]])
+        s = shortest_path_distances(path_graph(2))
+        x, stats = layout_mod._descend(coords0, s.d, p.alpha, p.lam, p)
+        assert np.array_equal(x, coords0)
+        assert stats.iterations == 0
+        assert stats.stops == {"blocked": 1}
+
     def test_coincident_first_candidate_halves_the_step(self, monkeypatch):
         coords0, s = self._start()
         _, grad = gpgl_loss_and_grad(Layout(coords0), s, self.p)
