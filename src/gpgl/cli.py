@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = layout_flags.add_argument_group("layout")
     group.add_argument("--alpha", type=float, default=d.alpha, help="separation radius")
     group.add_argument(
-        "--lambda", dest="lam", type=float, default=d.lam, help="penalty weight"
+        "--lambda", dest="lam", type=float, default=d.lam, help="final penalty weight"
     )
     group.add_argument("--gamma", type=float, default=d.gamma, help="rescale floor")
     group.add_argument(

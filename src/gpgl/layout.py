@@ -3,8 +3,10 @@
 The continuous stage embeds a graph in the plane so that Euclidean
 distances track graph hop distances (Kamada-Kawai stress), with a hinge
 penalty that pushes every vertex pair at least ``alpha`` apart so that
-rounding to integer cells keeps vertices distinct. The discrete stage
-rounds the optimized coordinates to the grid.
+rounding to integer cells keeps vertices distinct. It runs a stress-only
+descent, then a penalty continuation: descents at rising fractions of the
+penalty weight ``lam``, each warm-started from the last. The discrete
+stage rounds the optimized coordinates to the grid.
 
 One pair kernel (``_PairKernel``, built once per vertex count) holds the
 loss and its gradient over the unordered pairs i < j. A candidate's pair
@@ -55,13 +57,9 @@ _MAX_BACKTRACKS = 30
 _PROGRESS_WINDOW = 50
 _PROGRESS_TOL = 1e-5
 
-# Compaction cycling for the penalized stage: squeeze toward the centroid
-# by this factor plus seeded noise, re-descend, keep strict improvements.
-# Stops after _POLISH_PATIENCE consecutive non-improving rounds.
-_POLISH_ROUNDS = 16
-_POLISH_PATIENCE = 4
-_POLISH_CONTRACT = 0.85
-_POLISH_NOISE = 0.1
+# Penalty continuation: the penalized stage descends at lam times each
+# factor in turn, each descent warm-started from the previous best.
+_PENALTY_STEPS = (1e-3, 1e-2, 1e-1, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +121,9 @@ class LayoutParams:
         Separation threshold in grid-cell units; pairs closer than this
         are penalized.
     lam : float
-        Weight of the separation penalty.
+        Weight of the separation penalty; the final weight of the
+        penalty continuation, whose earlier descents run at fractions of
+        it.
     gamma : float
         Floor on the distance used to derive the optional rescale factor.
     enable_rescale : bool
@@ -131,7 +131,7 @@ class LayoutParams:
         penalized stage. Off by default; the stress-only solutions are
         usually a good enough starting point.
     max_iters : int
-        Iteration cap per optimization stage.
+        Iteration cap per descent.
     grad_tol : float
         Stop once the gradient max-norm falls below this.
     seed : int
@@ -163,8 +163,9 @@ class LayoutDiagnostics:
     """Per-layout record of how the optimization went, each field summed
     over the components.
 
-    ``stops`` counts the stress, penalized and polish descents by why they
-    stopped (see ``_descend``); reasons that never occurred are absent.
+    ``stops`` counts the stress descent and each descent of the penalty
+    continuation by why it stopped (see ``_descend``); reasons that never
+    occurred are absent.
     ``grid_stress`` is ``sum_{i<j} (|c_i - c_j| / s_ij - 1)^2`` over the
     rounded cells c, colliding vertices at distance 0.
     """
@@ -412,47 +413,34 @@ def _descend(
     return best_x, _StageStats(len(best_losses) - 1, *best, Counter({reason: 1}))
 
 
-def _descend_polished(
-    coords0: np.ndarray, s: np.ndarray, alpha: float, lam: float, p: LayoutParams
+def _descend_continued(
+    coords0: np.ndarray, s: np.ndarray, lam: float, p: LayoutParams
 ) -> tuple[np.ndarray, _StageStats]:
-    """Descend, then compaction cycling: contract the best layout toward
-    its centroid, add seeded noise, re-descend, keep strict improvements.
+    """One optimization stage: a single descent when ``lam`` is 0, else a
+    penalty continuation.
 
-    Plain descent jams the penalized objective in sprawling local minima
-    (rings and strings for dense graphs); squeezing and relaxing lets the
-    configuration recrystallize into the compact packings the stress term
-    favors. Skipped for the pure-stress stage (lam = 0), where contraction
-    can only move the layout off its natural scale.
+    A hinge at full weight from the start folds the layout: ``alpha``
+    exceeds the hop-1 target, so every edge begins inside the hinge. The
+    continuation descends at ``lam * step`` for each of
+    ``_PENALTY_STEPS``, each descent starting from the previous one's
+    best iterate, so the stress term shapes the layout while the hinge is
+    weak and the hinge then spreads it. The stats sum iterations and
+    stops over the steps and take the loss from the last, which runs at
+    ``lam``. If that loss is above the start's, the start is returned
+    with its own loss.
     """
-    x_best, stats = _descend(coords0, s, alpha, lam, p)
-    if lam <= 0.0 or coords0.shape[0] < 3:
-        return x_best, stats
-    rng = np.random.default_rng((p.seed, 0x9E37))
-    stale = 0
-    for _ in range(_POLISH_ROUNDS):
-        if stale >= _POLISH_PATIENCE:
-            break
-        center = x_best.mean(axis=0)
-        proposal = (
-            center
-            + (x_best - center) * _POLISH_CONTRACT
-            + rng.normal(0.0, _POLISH_NOISE, x_best.shape)
-        )
-        # A round is stale unless it improves: one that raises counts too.
-        stale += 1
-        try:
-            x_round, round_stats = _descend(proposal, s, alpha, lam, p)
-        except (CoincidentVerticesError, NonFiniteLossError):
-            continue
-        stats.iterations += round_stats.iterations
-        stats.stops += round_stats.stops
-        if round_stats.loss < stats.loss - 1e-9:
-            x_best = x_round
-            stats.loss = round_stats.loss
-            stats.kk = round_stats.kk
-            stats.sep = round_stats.sep
-            stale = 0
-    return x_best, stats
+    if lam == 0.0:
+        return _descend(coords0, s, p.alpha, 0.0, p)
+    x, iterations, stops = coords0, 0, Counter()
+    for step in _PENALTY_STEPS:
+        x, last = _descend(x, s, p.alpha, lam * step, p)
+        iterations += last.iterations
+        stops += last.stops
+    kernel = _pair_kernel(coords0.shape[0])
+    start = kernel.evaluate(coords0, kernel.pair_values(s), p.alpha, lam)[:3]
+    if last.loss > start[0]:
+        return coords0.copy(), _StageStats(iterations, *start, stops)
+    return x, _StageStats(iterations, last.loss, last.kk, last.sep, stops)
 
 
 def gpgl_loss_and_grad(
@@ -491,12 +479,14 @@ def minimize(layout0: Layout, s: DistanceMatrix, p: LayoutParams) -> Layout:
     Descends the full gradient with Armijo backtracking until the gradient
     max-norm drops to ``p.grad_tol``, the iteration cap is hit, the best
     loss stops improving over a window of iterations, or no backtracking
-    step lowers the loss; when the separation penalty is active the result
-    is refined by compaction cycling. The returned layout never has higher
-    loss than the input. Deterministic for fixed inputs.
+    step lowers the loss. With ``p.lam > 0`` this is a penalty
+    continuation: one such descent at each fraction of ``p.lam`` in
+    ``_PENALTY_STEPS``, the last at ``p.lam`` itself. The returned layout
+    never has higher loss than the input: if the continuation ends above
+    it, the input is returned. Deterministic for fixed inputs.
     """
     _checked_kernel(layout0, s)
-    coords, _ = _descend_polished(layout0.coords, s.d, p.alpha, p.lam, p)
+    coords, _ = _descend_continued(layout0.coords, s.d, p.lam, p)
     return Layout(coords)
 
 
@@ -554,8 +544,9 @@ def _layout_connected(
     """Layout pipeline for one connected component.
 
     Runs hop-distance computation, shuffled circular initialization, a
-    stress-only descent, the optional rescale, the penalized descent, and
-    rounding at the best grid phase.
+    stress-only descent, the optional rescale, the penalty continuation,
+    and rounding at the best grid phase; the two optimization stages are
+    ``minimize``'s.
     """
     n = g.num_vertices
     if n == 1:
@@ -564,10 +555,10 @@ def _layout_connected(
 
     s = shortest_path_distances(g)
     init = circular_init(n, p.seed)
-    kk_coords, kk_stats = _descend(init.coords, s.d, p.alpha, 0.0, p)
+    kk_coords, kk_stats = _descend_continued(init.coords, s.d, 0.0, p)
     if p.enable_rescale:
         kk_coords = rescale_layout(Layout(kk_coords), p).coords
-    coords, gp_stats = _descend_polished(kk_coords, s.d, p.alpha, p.lam, p)
+    coords, gp_stats = _descend_continued(kk_coords, s.d, p.lam, p)
 
     grid, lost = _round_best_phase(coords)
     kernel = _pair_kernel(n)

@@ -45,20 +45,20 @@ CASES = {
 LAYOUT_SEEDS = (0, 7)
 
 GOLDEN = {
-    "K9/0": "5d492ea8fe152f3201257b1ed7b944684f63a9061a8db80c2432778cab40d96a",
-    "K9/7": "c10d727849dd29c6a5aa18c327fec8773666fe9a91895ec820c5e72dc292e92b",
-    "random14/0": "aec5d9bbe86567387caffe9ac428fb3a23d74beee6d5560ecadd57a8e1c3cddf",
-    "random14/7": "eb43d88291dd54197d4541c1c5a5e13a6d4a09e2847ab3ebfc37f0d4ceaef049",
-    "random19/0": "359ea6b08c229bf257ce6e542386652f39e8d56435a435f2c275016a17d6cd62",
-    "random19/7": "7891336c852cc1933ac29696d48fd4fa616c0a7ac53b51e1538befa8ec08e857",
-    "random25/0": "197ea1a68ff73440988381a5c049ecc3e0a82f2825bfcb574627dccaeca7131e",
-    "random25/7": "72f498ab99f015e39baa97d9b0ff5b9f046941e2fecb895691b5d5e774b1b52b",
-    "random5/0": "dc6ffdf883583da662fcbd4ede442ee7151aada45ea42ce9c2564b428abe8220",
-    "random5/7": "a22d00ea7180fc5c4d47d9c3007e9e0101a142ba0deee79fcce0d9f5db51454e",
-    "random9/0": "47360f82fa01df39b80e99ac43714380aff36b74012a04911908b9de510fdb25",
-    "random9/7": "e2fecd430a636f02ffdb0a994ae81db5a5473f99f9ea4c8c8e4506dccdae3a73",
-    "two_components/0": "d9de5a3d85a391959ef1d71579d8379e8f43fe87b1ed35ff3124a9cc13d3e775",
-    "two_components/7": "912822dfe6ecf6d992aa390a16450fa568751f58836eaa1c58103eb1502cd281",
+    "K9/0": "7550fa03f00a528d4b5517364a6537b5268bdb1490dfd23220baa7cb38896349",
+    "K9/7": "4fed23cd81d384cb7141d1e00f8b9ea785bae2e486225b664cae69fd644022e0",
+    "random14/0": "fd3466f556bf71167f7f0cba343635d4072d6042b73322b6622ffed0c2de8083",
+    "random14/7": "faf333906fb7d5add031e05fed7d1f2878727fa989aaf7645e4bc56810f78202",
+    "random19/0": "7552041cd8ad6fd3a42ade302d9f71e413d66e0d821371dcb88b5c8872afa069",
+    "random19/7": "7f2f2d661344d01f0be9d7883e636685aae77f5613318f74cd25da479eafa14a",
+    "random25/0": "fd6a0c4b248678982dcece7e61b81f246153c365d10f0d5366b1cb7a5b965d52",
+    "random25/7": "800d188da91867d832513f3005b32fa4d3e0c3cc8367bbd60a193a78774c0b8b",
+    "random5/0": "354ce2f82419a3f483ffcf6597538149b0efb9127a8f03015b514a8bc7092e94",
+    "random5/7": "fc8e0aff6e24efa667e1b3d5dc110b58c450fc73521bc4845643851657ad4e08",
+    "random9/0": "a6b8a188a812135953345feb4193bd2b98e26cd565eb52ec6695e088086f982e",
+    "random9/7": "d623c84d8020b731887451318b7082ad02241a8d7a328573ab738b9ee6f014f5",
+    "two_components/0": "efcdc66d5b7bb9e60f79cd36717c81621a35ae1a3665af0f193950fdf5fbe730",
+    "two_components/7": "1ac60cd7a1b1fb175cd4ec65ba992a12f14a769f85a69e6191e204cee1ce681f",
 }
 
 

@@ -156,6 +156,17 @@ def test_round_best_phase_matches_loops(coords):
     assert lost == lost_loops == coords.shape[0] - len(grid.occupied_cells())
 
 
+@st.composite
+def connected_graph(draw, min_n=3, max_n=12):
+    """A random spanning tree (each vertex after the first joins an
+    earlier one) plus any extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return Graph.from_edges(n, edges)
+
+
 class TestMinimize:
     def test_fixed_point_stays_put(self):
         # Two vertices at distance alpha: stress pulls inward, hinge pushes
@@ -205,6 +216,23 @@ class TestMinimize:
             out = minimize(init, s, p)
             after, _ = gpgl_loss_and_grad(out, s, p)
             assert after <= before + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=connected_graph(),
+        seed=st.integers(0, 5),
+        lam=st.floats(1.0, 2000.0),
+        alpha=st.floats(0.8, 2.0),
+    )
+    def test_continuation_never_ends_above_its_start(self, g, seed, lam, alpha):
+        # The continuation's early steps run at a fraction of lam, so
+        # only the final comparison with the start keeps this exact.
+        s = shortest_path_distances(g)
+        p = LayoutParams(alpha=alpha, lam=lam, seed=seed)
+        init = circular_init(g.num_vertices, seed)
+        before, _ = gpgl_loss_and_grad(init, s, p)
+        after, _ = gpgl_loss_and_grad(minimize(init, s, p), s, p)
+        assert after <= before
 
     def test_deterministic(self):
         g = cycle_graph(7)
@@ -308,18 +336,37 @@ class TestStopReasons:
         assert set(diag.stops) == {"max_iters"}
         assert diag.kk_iterations + diag.gpgl_iterations == 5 * diag.stops["max_iters"]
 
-    def test_molecule_size_graph_stops_on_progress(self):
+    def test_molecule_size_graph_stops_on_progress(self, monkeypatch):
+        # The stress stage stops on progress. A penalized step stops on
+        # progress, or is blocked where the previous step left every
+        # pair at least alpha apart: at the hinge's kink no halving
+        # passes the Armijo test, so the step takes no iteration.
         p = LayoutParams()
+        descend = layout_mod._descend
+        steps = []
+
+        def recording(coords, dist, alpha, lam, p):
+            x, stats = descend(coords, dist, alpha, lam, p)
+            steps.append((stats.stops, stats.iterations))
+            return x, stats
+
+        monkeypatch.setattr(layout_mod, "_descend", recording)
         for seed in range(3):
+            steps.clear()
             g = random_connected_graph(20, np.random.default_rng(seed))
             _, diag = layout_graph(g, p)
-            assert set(diag.stops) == {"progress"}
-            per_descent = (diag.kk_iterations + diag.gpgl_iterations) / diag.stops["progress"]
+            assert len(steps) == 1 + len(layout_mod._PENALTY_STEPS)
+            assert steps[0][0] == {"progress": 1}
+            for stops, iterations in steps[1:]:
+                assert stops in ({"progress": 1}, {"blocked": 1})
+                assert iterations == 0 or stops == {"progress": 1}
+            per_descent = (diag.kk_iterations + diag.gpgl_iterations) / len(steps)
             assert per_descent < p.max_iters / 4
 
 
 class TestDescentBranches:
-    """Backtracking and polish branches that ordinary layouts rarely take."""
+    """Backtracking and continuation branches that ordinary layouts rarely
+    take."""
 
     p = LayoutParams(max_iters=30)
 
@@ -373,28 +420,53 @@ class TestDescentBranches:
         assert stats.iterations == self.p.max_iters
         assert stats.stops == {"max_iters": 1}
 
-    @pytest.mark.parametrize("pattern", ["raise", "alternate"])
-    def test_polish_stops_after_patience_stale_rounds(self, monkeypatch, pattern):
-        # Every polish round is stale: it raises, or (alternating) it
-        # returns a loss no better than the first descent's.
+    def test_continuation_descends_once_per_step_from_the_previous_best(self, monkeypatch):
         coords0, s = self._start()
         descend = layout_mod._descend
-        expected = descend(coords0, s.d, self.p.alpha, self.p.lam, self.p)
         calls = []
 
-        def stale_rounds(coords, dist, alpha, lam, p):
-            calls.append(coords)
-            if len(calls) == 1:
-                return descend(coords, dist, alpha, lam, p)
-            if pattern == "raise" or len(calls) % 2 == 0:
-                raise CoincidentVerticesError("patched")
-            return coords, layout_mod._StageStats(0, math.inf, math.inf, 0.0, collections.Counter())
+        def recording(coords, dist, alpha, lam, p):
+            x, stats = descend(coords, dist, alpha, lam, p)
+            calls.append((coords, lam, x, stats))
+            return x, stats
 
-        monkeypatch.setattr(layout_mod, "_descend", stale_rounds)
-        x, stats = layout_mod._descend_polished(coords0, s.d, self.p.alpha, self.p.lam, self.p)
-        assert len(calls) == 1 + layout_mod._POLISH_PATIENCE
-        assert np.array_equal(x, expected[0])
-        assert stats == expected[1]
+        monkeypatch.setattr(layout_mod, "_descend", recording)
+        x, stats = layout_mod._descend_continued(coords0, s.d, self.p.lam, self.p)
+        assert [lam for _, lam, _, _ in calls] == [
+            self.p.lam * step for step in layout_mod._PENALTY_STEPS
+        ]
+        assert calls[-1][1] == self.p.lam
+        assert calls[0][0] is coords0
+        for (_, _, best, _), (start, _, _, _) in zip(calls, calls[1:]):
+            assert start is best
+        last = calls[-1][3]
+        assert np.array_equal(x, calls[-1][2])
+        assert (stats.loss, stats.kk, stats.sep) == (last.loss, last.kk, last.sep)
+        assert stats.iterations == sum(c[3].iterations for c in calls)
+        assert stats.stops == sum((c[3].stops for c in calls), collections.Counter())
+
+    def test_continuation_ending_above_its_start_returns_the_start(self, monkeypatch):
+        # Every step squeezes the layout toward its centroid, deeper into
+        # the hinge, so the last step's loss is above the start's.
+        coords0, s = self._start()
+        p = self.p
+        calls = []
+
+        def squeezing(coords, dist, alpha, lam, p_):
+            calls.append(lam)
+            x = coords * 0.5
+            kernel = layout_mod._pair_kernel(6)
+            f, kk, sep, _ = kernel.evaluate(x, kernel.pair_values(dist), alpha, lam)
+            return x, layout_mod._StageStats(3, f, kk, sep, collections.Counter(progress=1))
+
+        monkeypatch.setattr(layout_mod, "_descend", squeezing)
+        x, stats = layout_mod._descend_continued(coords0, s.d, p.lam, p)
+        before, _ = gpgl_loss_and_grad(Layout(coords0), s, p)
+        assert np.array_equal(x, coords0) and x is not coords0
+        assert stats.loss == before
+        assert stats.kk + stats.sep == before
+        assert stats.iterations == 3 * len(calls)
+        assert stats.stops == {"progress": len(calls)}
 
 
 class TestLayoutGraph:
@@ -478,6 +550,20 @@ def test_layout_graph_any_small_graph(g, seed):
                 cell_dist = math.hypot(*(grid.cells[u] - grid.cells[v]))
                 expected += (cell_dist / hops[u][v] - 1.0) ** 2
     assert diag.grid_stress == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=connected_graph(2, 12), seed=st.integers(0, 1000))
+def test_layout_graph_is_its_public_stages_composed(g, seed):
+    # layout_graph runs the stress stage, the penalized stage and the
+    # best-phase rounding, the stages that minimize and _round_best_phase
+    # expose; a traced benchmark re-lays graphs this way.
+    p = LayoutParams(seed=seed)
+    s = shortest_path_distances(g)
+    stress = minimize(circular_init(g.num_vertices, seed), s, dataclasses.replace(p, lam=0.0))
+    expected, _ = _round_best_phase(minimize(stress, s, p).coords)
+    grid, _ = layout_graph(g, p)
+    assert np.array_equal(grid.cells, expected.cells)
 
 
 @settings(max_examples=20, deadline=None)
