@@ -37,11 +37,6 @@ class Param:
         self.grad = np.zeros_like(value)
 
 
-# Inference convolves at most this many im2col elements per matrix
-# product: 8192 rows of a 64-channel 3x3 im2col, 18 MiB in float32.
-_BLOCK_ELEMENTS = 8192 * 9 * 64
-
-
 class Conv3x3:
     """Single 3x3 same-padded convolution, Kaiming fan-in init."""
 
@@ -63,20 +58,13 @@ class Conv3x3:
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._x = x if train else None
         n, h, wd, cin = x.shape
-        step = max(1, _BLOCK_ELEMENTS // (h * wd * 9 * cin))
-        if train or step >= n:
-            out, _ = ops.conv2d_forward(x, self.w.value, self.b.value)
-            return out
-        # Every block holds `step` samples, the last one overlapping its
-        # predecessor, so each product has over _BLOCK_ELEMENTS / 2
-        # multiply-adds per output column. OpenBLAS computes the rows of
-        # products that large the same way for any row count; only its
-        # small-matrix kernels would round differently.
+        blocks = ops.sample_blocks(n, h * wd * 9 * cin)
+        if train or len(blocks) < 2:
+            return ops.conv2d_forward(x, self.w.value, self.b.value)[0]
         out = np.empty((n, h, wd, self.b.value.size), np.result_type(x, self.w.value))
-        for start in range(0, n, step):
-            start = min(start, n - step)
-            block, _ = ops.conv2d_forward(x[start : start + step], self.w.value, self.b.value)
-            out[start : start + step] = block
+        for start, stop in blocks:
+            # Indexing drops the block's im2col before the next is built.
+            out[start:stop] = ops.conv2d_forward(x[start:stop], self.w.value, self.b.value)[0]
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -106,7 +94,6 @@ class MsmConv:
         rng: np.random.Generator,
         dtype: np.dtype = np.float32,
     ) -> None:
-        self.scales = scales
         self.branches: list[list[Conv3x3]] = []
         for s in range(scales):
             chain = []
@@ -121,25 +108,29 @@ class MsmConv:
         return [p for chain in self.branches for conv in chain for p in conv.params()]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        # The first conv of every branch keeps the same input array.
-        outs = []
-        for chain in self.branches:
+        # The first conv of every branch keeps the same input array. Each
+        # branch is folded into the running max as soon as it is done,
+        # so no two finished branch outputs are alive at once.
+        running = None
+        for s, chain in enumerate(self.branches):
             h = x
             for conv in chain:
                 h = conv.forward(h, train)
-            outs.append(h)
-        out, self._winner = ops.maxout_forward(outs, train)
+            running = ops.maxout_forward([h], train, running, start=s)
+        out, self._winner = running
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        dstack = ops.maxout_backward(dout, self._winner, self.scales)
-        self._winner = None
         dx = None
         for s, chain in enumerate(self.branches):
-            d = dstack[s]
+            d = ops.maxout_backward(dout, self._winner, s)
             for conv in reversed(chain):
                 d = conv.backward(d)
-            dx = d if dx is None else dx + d
+            if dx is None:
+                dx = d
+            else:
+                dx += d  # no layer caches a returned input gradient
+        self._winner = None
         return dx
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "im2col",
+    "sample_blocks",
     "conv2d_forward",
     "conv2d_backward",
     "maxpool2_forward",
@@ -49,6 +50,27 @@ def im2col(x: np.ndarray, k: int) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * wd, k * k * cin)
 
 
+# Blocked products cover at most this many im2col elements: 8192 rows of
+# a 64-channel 3x3 im2col, 18 MiB in float32.
+_BLOCK_ELEMENTS = 8192 * 9 * 64
+
+
+def sample_blocks(n: int, sample_elements: int) -> list[tuple[int, int]]:
+    """Split ``n`` samples of ``sample_elements`` im2col elements each
+    into near-equal ``(start, stop)`` blocks of at most _BLOCK_ELEMENTS
+    elements, or of one sample where one is larger.
+
+    When there is more than one block, each holds over a quarter of
+    _BLOCK_ELEMENTS, so a product over its rows has over 10**6
+    multiply-adds for any output width. OpenBLAS computes the rows of
+    products that large the same way for any row count; only its
+    small-matrix kernels would round differently.
+    """
+    count = -(-n // max(1, _BLOCK_ELEMENTS // sample_elements))
+    edges = [n * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +95,12 @@ def conv2d_backward(
     w: np.ndarray,
     x_shape: tuple[int, int, int, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward: returns ``(dx, dw, db)``."""
+    """Gradients of conv2d_forward: returns ``(dx, dw, db)``.
+
+    ``dw`` is one product over all of ``cols``. The input gradient's
+    im2col matrix, as large as ``cols``, is built and scattered one
+    ``sample_blocks`` block at a time.
+    """
     n, h, wd, cin = x_shape
     k = w.shape[0]
     cout = w.shape[3]
@@ -81,21 +108,24 @@ def conv2d_backward(
     dmat = dout.reshape(-1, cout)
     dw = (cols.T @ dmat).reshape(w.shape)
     db = dmat.sum(axis=0)
-    dcols = (dmat @ w.reshape(-1, cout).T).reshape(n, h, wd, k * k, cin)
+    wt = w.reshape(-1, cout).T
     dxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin), dtype=dout.dtype)
-    i = 0
-    for dy in range(k):
-        for dx in range(k):
-            dxp[:, dy : dy + h, dx : dx + wd, :] += dcols[:, :, :, i, :]
-            i += 1
+    for start, stop in sample_blocks(n, h * wd * k * k * cin):
+        dcols = dmat[start * h * wd : stop * h * wd] @ wt
+        dcols = dcols.reshape(stop - start, h, wd, k * k, cin)
+        block = dxp[start:stop]
+        for i in range(k * k):
+            dy, dx = divmod(i, k)
+            block[:, dy : dy + h, dx : dx + wd, :] += dcols[:, :, :, i, :]
+        del dcols  # before the next block's is built
     return dxp[:, pad : pad + h, pad : pad + wd, :], dw, db
 
 
 def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 stride-2 max pooling, odd edges padded with -inf.
 
-    Returns ``(out, idx)``; idx holds each window's winning slot (0..3,
-    ties to the first) for gradient routing.
+    Returns ``(out, idx)``; idx holds each window's winning slot as
+    uint8 (0..3, ties to the first) for gradient routing.
     """
     n, h, w, c = x.shape
     h2 = -(-h // 2)
@@ -112,7 +142,7 @@ def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     idx = win.argmax(axis=3)
     out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3).squeeze(3)
-    return out, idx
+    return out, idx.astype(np.uint8)
 
 
 def maxpool2_backward(
@@ -160,19 +190,29 @@ def global_pool_backward(
 
 
 def maxout_forward(
-    branches: Sequence[np.ndarray], train: bool = True
+    branches: Sequence[np.ndarray],
+    train: bool = True,
+    running: tuple[np.ndarray, np.ndarray | None] | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Elementwise max over a sequence of equal-shape branch outputs.
 
     Returns ``(out, winner)``. With ``train`` winner records the branch
     index per element, ties resolved to the lowest index; without it
-    winner is None.
+    winner is None. Branches can be folded in a few at a time: pass the
+    previous call's ``(out, winner)`` as ``running`` and the index of
+    ``branches[0]`` as ``start``. The running max is updated in place,
+    and the result equals one call over all the branches.
     """
-    out = np.array(branches[0])
-    winner = np.zeros(out.shape, np.min_scalar_type(len(branches) - 1)) if train else None
-    for s in range(1, len(branches)):
-        branch = branches[s]
+    if running is None:
+        out = np.array(branches[0])
+        winner = np.full(out.shape, start, np.min_scalar_type(start)) if train else None
+        start, branches = start + 1, branches[1:]
+    else:
+        out, winner = running
+    for s, branch in enumerate(branches, start):
         if train:
+            winner = winner.astype(np.promote_types(winner.dtype, np.min_scalar_type(s)), copy=False)
             np.copyto(winner, s, where=branch > out)
         # On a tie np.maximum returns its second operand, so an equal
         # later branch (-0.0 against +0.0 included) never replaces out.
@@ -181,12 +221,10 @@ def maxout_forward(
 
 
 def maxout_backward(
-    dout: np.ndarray, winner: np.ndarray, scales: int
+    dout: np.ndarray, winner: np.ndarray, branch: int
 ) -> np.ndarray:
-    """Route ``dout`` to each element's winning branch: returns the
-    ``(scales,) + dout.shape`` branch gradients, zero where a branch
-    lost."""
-    branch = np.arange(scales, dtype=winner.dtype).reshape((scales,) + (1,) * winner.ndim)
+    """The gradient of branch ``branch``: ``dout`` where that branch won,
+    zero where it lost."""
     return np.where(winner == branch, dout, 0)
 
 

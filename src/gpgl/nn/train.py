@@ -183,7 +183,8 @@ def _train_one_fold(
     test_graphs: np.ndarray,
     config: NetworkConfig,
     num_classes: int,
-) -> tuple[FoldResult, MsmCnn]:
+    checkpoint_dir: str | Path | None,
+) -> FoldResult:
     is_test = np.isin(graph_ids, test_graphs)
     train_idx = np.flatnonzero(~is_test)
     test_idx = np.flatnonzero(is_test)
@@ -233,7 +234,11 @@ def _train_one_fold(
     if best_hits is None:
         best_hits = evaluate(model, *held_out)[1:3]
     layout_hits, graph_hits = best_hits
-    result = FoldResult(
+    if checkpoint_dir is not None:
+        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        model.save(Path(checkpoint_dir) / f"fold{fold}.ckpt", epoch=best_epoch)
+    # The model is dropped on return, before the next fold builds its own.
+    return FoldResult(
         fold=fold,
         train_losses=train_losses,
         val_losses=val_losses,
@@ -241,7 +246,6 @@ def _train_one_fold(
         layout_counts=(layout_hits, test_idx.size),
         graph_counts=(graph_hits, test_graphs.size),
     )
-    return result, model
 
 
 def train(
@@ -272,17 +276,12 @@ def train(
         raise ValueError("labels must be non-negative")
     num_classes = int(labels.max()) + 1
     folds = make_graph_folds(graph_ids, n_folds, config.seed)
-    results = []
-    for fold, test_graphs in enumerate(folds):
-        result, model = _train_one_fold(
-            fold, tensors, labels, graph_ids, test_graphs, config, num_classes
+    results = [
+        _train_one_fold(
+            fold, tensors, labels, graph_ids, test_graphs, config, num_classes, checkpoint_dir
         )
-        results.append(result)
-        if checkpoint_dir is not None:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            model.save(
-                Path(checkpoint_dir) / f"fold{fold}.ckpt", epoch=result.best_epoch
-            )
+        for fold, test_graphs in enumerate(folds)
+    ]
     return TrainResult(config=config, folds=results)
 
 

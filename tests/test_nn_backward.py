@@ -96,7 +96,7 @@ class TestOpGradients:
         stack = rng.normal(size=(3, 2, 3, 3, 2))
         out, winner = maxout_forward(stack)
         dout = rng.normal(size=out.shape)
-        dstack = maxout_backward(dout, winner, 3)
+        dstack = np.stack([maxout_backward(dout, winner, s) for s in range(3)])
         for s in range(3):
             won = winner == s
             assert np.array_equal(dstack[s][won], dout[won])
@@ -114,7 +114,7 @@ class TestOpGradients:
             o, _ = maxout_forward(stack)
             return float((o * r).sum())
 
-        dstack = maxout_backward(r, winner, 3)
+        dstack = np.stack([maxout_backward(r, winner, s) for s in range(3)])
         assert _close(dstack, _fd(value, stack))
 
     def test_dense(self):

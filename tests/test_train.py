@@ -1,5 +1,8 @@
 """Tests for the optimizer, cross-validation folds, and the training loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,44 @@ class TestTrainingLoop:
         for fold in range(2):
             model, epoch = MsmCnn.load(tmp_path / f"fold{fold}.ckpt")
             assert epoch == result.folds[fold].best_epoch
+
+    @pytest.mark.parametrize("checkpoints", [False, True])
+    def test_finished_fold_model_freed_before_next_fold_trains(
+        self, tmp_path, monkeypatch, checkpoints
+    ):
+        models = []
+        live_at_step = []
+        init, loss_and_grad = MsmCnn.__init__, MsmCnn.loss_and_grad
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            models.append(weakref.ref(self))
+
+        def counting_loss_and_grad(self, *args, **kwargs):
+            live_at_step.append(sum(ref() is not None for ref in models))
+            return loss_and_grad(self, *args, **kwargs)
+
+        monkeypatch.setattr(MsmCnn, "__init__", recording_init)
+        monkeypatch.setattr(MsmCnn, "loss_and_grad", counting_loss_and_grad)
+        tensors, labels, gids = blob_corpus(n_graphs=6)
+        # Without the cycle collector a model is gone only once nothing
+        # refers to it, which is when its memory is returned.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(
+                tensors,
+                labels,
+                gids,
+                small_config(epochs=2),
+                n_folds=3,
+                checkpoint_dir=tmp_path if checkpoints else None,
+            )
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(models) == 3
+        assert live_at_step and set(live_at_step) == {1}
 
     @pytest.mark.parametrize("epochs", [0, 6])
     def test_stored_counts_equal_fresh_evaluate_of_restored_model(self, tmp_path, epochs):
