@@ -18,7 +18,7 @@ import numpy as np
 from .augment import AugmentedLayout, AugmentedSet
 from .errors import DatasetParseError, MissingNodeLabelsError, WindowOverflowError
 from .graph import Graph
-from .grid import DEFAULT_WINDOW, build_grid_tensor
+from .grid import DEFAULT_WINDOW, build_grid_tensor, check_window
 from .tensor_io import ManifestEntry, manifest_path_for, write_container, write_manifest
 
 __all__ = [
@@ -340,43 +340,42 @@ def export_tensors(
     A layout larger than ``window`` is never cropped: its run becomes a
     failed run that keeps its seed and carries the overflow as its error.
     Failed runs are skipped, so the container count is the number of
-    runs that fit. Each tensor goes into its slot of the one
-    ``(N, H, W, F)`` batch that is written out, with the manifest
-    sidecar next to it. Returns the sets, overflows marked failed, and
-    the manifest entries. When layouts overflowed and none fits, raises
-    the first overflow, prefixed ``graph <id>: ``.
+    runs that fit. Export takes two passes: the first checks every
+    layout against the window, the second hands the tensors to one
+    ``write_container`` call as ``build_grid_tensor`` builds them, so
+    no more than one ``(H, W, F)`` tensor is held at a time. The
+    manifest sidecar is written next to the container. Returns the
+    sets, overflows marked failed, and the manifest entries. When
+    layouts overflowed and none fits, raises the first overflow,
+    prefixed ``graph <id>: ``, and writes nothing.
     """
-    runs = sum(len(s.successful()) for s in sets)
-    if not runs:
+    if not any(s.successful() for s in sets):
         raise ValueError("nothing to export: no successful layouts")
     if ds.features is None:
         raise ValueError(f"dataset {ds.name!r} has no features; run featurize first")
-    tensors = None
     fitted = []
-    entries = []
+    placed = []
     first = None
     for s in sets:
         layouts = []
         for lay in s.layouts:
             if not lay.failed:
                 try:
-                    tensor = build_grid_tensor(lay.grid, ds.features[s.graph_id], window=window)
+                    check_window(lay.grid, window)
                 except WindowOverflowError as exc:
                     first = first or WindowOverflowError(f"graph {s.graph_id}: {exc}")
                     lay = AugmentedLayout(lay.seed, None, None, f"{type(exc).__name__}: {exc}")
                 else:
-                    # Sized from the first tensor built, so a window that no
-                    # layout fits, even a negative one, allocates nothing.
-                    if tensors is None:
-                        tensors = np.empty((runs, *tensor.shape), dtype=np.float32)
-                    tensors[len(entries)] = tensor
-                    entries.append(
-                        ManifestEntry(s.graph_id, lay.seed, int(ds.labels[s.graph_id]))
-                    )
+                    placed.append((s.graph_id, lay))
             layouts.append(lay)
         fitted.append(replace(s, layouts=tuple(layouts)))
-    if not entries:
+    if not placed:
         raise first
-    write_container(path, tensors[: len(entries)])
+    write_container(
+        path,
+        (build_grid_tensor(lay.grid, ds.features[gid], window=window) for gid, lay in placed),
+        count=len(placed),
+    )
+    entries = [ManifestEntry(gid, lay.seed, int(ds.labels[gid])) for gid, lay in placed]
     write_manifest(manifest_path_for(path), entries)
     return fitted, entries

@@ -5,8 +5,8 @@ A grid layout plus per-vertex feature vectors becomes a fixed-size
 cell, empty cells stay zero, and vertices that collided on one cell are
 averaged. How many vertices collided is counted once, by the layout's
 phase scan (``LayoutDiagnostics.lost_vertices``). A layout larger than
-the window is never cropped: ``build_grid_tensor`` raises, and
-``datasets.export_tensors`` records the run as failed.
+the window is never cropped: ``check_window`` and ``build_grid_tensor``
+raise, and ``datasets.export_tensors`` records the run as failed.
 """
 
 from __future__ import annotations
@@ -18,9 +18,22 @@ import numpy as np
 from .errors import WindowOverflowError
 from .layout import GridLayout
 
-__all__ = ["build_grid_tensor", "DEFAULT_WINDOW"]
+__all__ = ["build_grid_tensor", "check_window", "DEFAULT_WINDOW"]
 
 DEFAULT_WINDOW = (64, 64)
+
+
+def check_window(gl: GridLayout, window: tuple[int, int]) -> None:
+    """Raise WindowOverflowError unless every cell of ``gl`` lies inside
+    ``window`` (height, width). Overflow is an error rather than a silent
+    crop; cropping would lose vertices without showing up in the
+    lost-vertex count."""
+    height, width = window
+    rows, cols = gl.extent()
+    if rows > height or cols > width:
+        raise WindowOverflowError(
+            f"layout spans {rows}x{cols}, window is {height}x{width}"
+        )
 
 
 def build_grid_tensor(
@@ -38,26 +51,19 @@ def build_grid_tensor(
     Raises
     ------
     WindowOverflowError
-        If any cell falls outside the window. Overflow is an error rather
-        than a silent crop; cropping would lose vertices without showing
-        up in the lost-vertex count.
+        If any cell falls outside the window (``check_window``).
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != gl.n:
         raise ValueError(
             f"features must be ({gl.n}, F), got {feats.shape}"
         )
-    height, width = window
-    rows, cols = gl.extent()
-    if rows > height or cols > width:
-        raise WindowOverflowError(
-            f"layout spans {rows}x{cols}, window is {height}x{width}"
-        )
+    check_window(gl, window)
     by_cell: dict[tuple[int, int], list[int]] = defaultdict(list)
     for v, (r, c) in enumerate(gl.cells):
         by_cell[(int(r), int(c))].append(v)
 
-    data = np.zeros((height, width, feats.shape[1]), dtype=np.float32)
+    data = np.zeros((*window, feats.shape[1]), dtype=np.float32)
     for (r, c), members in by_cell.items():
         data[r, c] = feats[members].mean(axis=0)
     return data

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..tensor_io import read_framed, write_framed
+from ..tensor_io import open_framed, write_framed
 from . import ops
 from .layers import Dense, Dropout, GlobalPool, MaxPool2, MsmConv, Param, ReLU
 
@@ -171,25 +171,54 @@ class MsmCnn:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["MsmCnn", int]:
-        """Rebuild a network from a checkpoint; returns (model, epoch)."""
-        header, payload = read_framed(path)
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            raise ValueError(f"not a {_CHECKPOINT_FORMAT} file")
-        for name in ("in_channels", "num_classes", "epoch"):
-            value = header.get(name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"checkpoint field {name!r} must be an integer, got {value!r}")
-        config = header.get("config")
-        names = {f.name for f in fields(NetworkConfig)}
-        if not isinstance(config, dict) or set(config) != names:
-            raise ValueError(f"checkpoint field 'config' must be an object with keys {sorted(names)}")
-        try:
-            config = NetworkConfig(**config)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint field 'config': {exc}") from exc
-        model = cls(header["in_channels"], header["num_classes"], config)
-        expected = model.num_params * 4
-        if len(payload) != expected:
-            raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-        model.set_flat_params(np.frombuffer(payload, dtype="<f4"))
-        return model, int(header["epoch"])
+        """Rebuild a network from a checkpoint; returns (model, epoch).
+
+        The header and the file's size are checked before the network is
+        built, so a checkpoint that does not match its header allocates
+        nothing; the payload is then read straight into the parameters.
+        Every error is a ValueError that names the file.
+        """
+        with open_framed(path) as (header, nbytes, read_into):
+            try:
+                config = _checkpoint_config(header)
+                expected = 4 * _param_count(header["in_channels"], header["num_classes"], config)
+                if nbytes != expected:
+                    raise ValueError(f"payload is {nbytes} bytes, expected {expected}")
+                model = cls(header["in_channels"], header["num_classes"], config)
+            except ValueError as exc:
+                raise ValueError(f"{Path(path).name}: {exc}") from None
+            for p in model.params():
+                read_into(p.value)
+        return model, header["epoch"]
+
+
+def _checkpoint_config(header: dict) -> NetworkConfig:
+    """Check a checkpoint header's fields; return its network config."""
+    if header.get("format") != _CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {_CHECKPOINT_FORMAT} file")
+    for name in ("in_channels", "num_classes", "epoch"):
+        value = header.get(name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"checkpoint field {name!r} must be an integer, got {value!r}")
+    config = header.get("config")
+    names = {f.name for f in fields(NetworkConfig)}
+    if not isinstance(config, dict) or set(config) != names:
+        raise ValueError(f"checkpoint field 'config' must be an object with keys {sorted(names)}")
+    try:
+        return NetworkConfig(**config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint field 'config': {exc}") from exc
+
+
+def _param_count(in_channels: int, num_classes: int, config: NetworkConfig) -> int:
+    """``MsmCnn(in_channels, num_classes, config).num_params``, without
+    building the network."""
+    count, c_prev, s = 0, in_channels, config.scales
+    for c in config.conv_channels:
+        # Branch b chains b + 1 convolutions: c_prev -> c, then b times c -> c.
+        count += s * (9 * c_prev + 1) * c + s * (s - 1) // 2 * (9 * c + 1) * c
+        c_prev = c
+    for d in (*config.fc_sizes, num_classes):
+        count += (c_prev + 1) * d
+        c_prev = d
+    return count

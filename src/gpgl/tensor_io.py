@@ -3,7 +3,7 @@
 Format: one line of compact JSON metadata, a newline, then the raw
 little-endian float32 payload of all tensors concatenated in index
 order, row-major with the channel axis last. Checkpoints share that
-header-plus-payload framing (``write_framed`` / ``read_framed``). A
+header-plus-payload framing (``write_framed`` / ``open_framed``). A
 sidecar JSON manifest maps tensor index to graph id, layout seed and
 class label so the training stage can group layouts by source graph.
 """
@@ -11,9 +11,11 @@ class label so the training stage can group layouts by source graph.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -25,7 +27,7 @@ __all__ = [
     "atomic_open",
     "write_json",
     "write_framed",
-    "read_framed",
+    "open_framed",
     "write_container",
     "read_container",
     "manifest_path_for",
@@ -34,6 +36,8 @@ __all__ = [
 ]
 
 _ORDER = "row-major, channel-last"
+# Longest header line ``open_framed`` reads, newline included.
+_HEADER_LIMIT = 64 * 1024
 _INT64 = np.iinfo(np.int64)
 
 
@@ -92,38 +96,109 @@ def write_framed(path: str | Path, header: dict, arrays: Iterable[np.ndarray]) -
             fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def read_framed(path: str | Path) -> tuple[dict, bytes]:
-    """Read a ``write_framed`` file back as ``(header, payload bytes)``;
-    the header must be a JSON object."""
+@contextlib.contextmanager
+def open_framed(path: str | Path):
+    """Open a ``write_framed`` file with its payload still unread.
+
+    Yields ``(header, nbytes, read_into)``. ``header`` is the JSON object
+    on the first line, which may be at most 64 KiB long. ``nbytes`` is
+    the payload's size, taken from the file, never from the header, so
+    the caller can check it before it allocates anything.
+    ``read_into(arr)`` fills the contiguous float32 array ``arr`` with
+    the next ``arr.nbytes`` bytes of the little-endian payload, straight
+    from the file. Every error is a ValueError that names the file.
+    """
+    name = Path(path).name
     with open(path, "rb") as fh:
-        line = fh.readline()
-        payload = fh.read()
-    header = json.loads(line.decode("ascii"))
-    if not isinstance(header, dict):
-        raise ValueError(f"{Path(path).name}: header must be a JSON object")
-    return header, payload
+        line = fh.readline(_HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise ValueError(f"{name}: no header line in the first {_HEADER_LIMIT} bytes")
+        try:
+            header = json.loads(line.decode("ascii"))
+        except ValueError as exc:
+            raise ValueError(f"{name}: header is not ASCII JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{name}: header must be a JSON object")
+
+        def read_into(arr: np.ndarray) -> None:
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{name}: file ended inside its payload")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)
+
+        yield header, os.fstat(fh.fileno()).st_size - len(line), read_into
 
 
-def write_container(path: str | Path, tensors: np.ndarray) -> None:
-    """Write an ``(N, H, W, F)`` float32 batch to ``path``."""
-    arr = np.ascontiguousarray(tensors, dtype=np.float32)
-    if arr.ndim != 4:
-        raise ValueError(f"tensors must be (N, H, W, F), got {arr.shape}")
-    n, h, w, f = arr.shape
+def write_container(
+    path: str | Path, tensors: np.ndarray | Iterable[np.ndarray], count: int | None = None
+) -> None:
+    """Write ``N`` float32 tensors of one shape ``(H, W, F)`` to ``path``.
+
+    ``tensors`` is an ``(N, H, W, F)`` batch or, with ``count`` given,
+    an iterable of ``count`` tensors, each written as it is yielded, so
+    no more than one is held at a time. The header is written from
+    ``count`` and the first tensor's shape. A tensor of another shape,
+    or a count that does not match, raises ValueError before the file
+    replaces ``path``.
+    """
+    if count is None:
+        batch = np.ascontiguousarray(tensors, dtype=np.float32)
+        if batch.ndim != 4:
+            raise ValueError(f"tensors must be (N, H, W, F), got {batch.shape}")
+        count, shape, tensors = len(batch), batch.shape[1:], [batch]
+    else:
+        tensors = iter(tensors)
+        first = next(tensors, None)
+        if first is None or np.ndim(first) != 3:
+            raise ValueError(f"expected {count} tensors of shape (H, W, F)")
+        shape = np.shape(first)
+        tensors = _counted(itertools.chain([first], tensors), count, shape)
+    h, w, f = shape
     header = {
         "height": h,
         "width": w,
         "channels": f,
-        "count": n,
+        "count": count,
         "dtype": "f32",
         "order": _ORDER,
     }
-    write_framed(path, header, [arr])
+    write_framed(path, header, tensors)
+
+
+def _counted(tensors: Iterable[np.ndarray], count: int, shape: tuple) -> Iterable[np.ndarray]:
+    """Yield ``tensors``, raising unless there are ``count`` of them,
+    each of ``shape``."""
+    n = 0
+    for tensor in tensors:
+        n += 1
+        if n > count or np.shape(tensor) != shape:
+            raise ValueError(f"expected {count} tensors of shape {shape}, tensor {n - 1} is not one")
+        yield tensor
+    if n != count:
+        raise ValueError(f"expected {count} tensors of shape {shape}, got {n}")
 
 
 def read_container(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Read a container back as ``((N, H, W, F) float32, header)``."""
-    header, payload = read_framed(path)
+    """Read a container back as ``((N, H, W, F) float32, header)``.
+
+    The header and the file's size are checked first; the payload is
+    then read straight into the array returned. Every error is a
+    ValueError that names the file.
+    """
+    with open_framed(path) as (header, nbytes, read_into):
+        try:
+            shape = _container_shape(header)
+            expected = math.prod(shape) * 4
+            if nbytes != expected:
+                raise ValueError(f"payload is {nbytes} bytes, header implies {expected}")
+        except ValueError as exc:
+            raise ValueError(f"{Path(path).name}: {exc}") from None
+        tensors = np.empty(shape, dtype=np.float32)
+        read_into(tensors)
+    return tensors, header
+
+
+def _container_shape(header: dict) -> tuple[int, int, int, int]:
     for key in ("height", "width", "channels", "count", "dtype", "order"):
         if key not in header:
             raise ValueError(f"container header missing {key!r}")
@@ -132,14 +207,7 @@ def read_container(path: str | Path) -> tuple[np.ndarray, dict]:
             raise ValueError(f"container {key} must be a non-negative integer")
     if header["dtype"] != "f32":
         raise ValueError(f"unsupported dtype {header['dtype']!r}")
-    shape = (header["count"], header["height"], header["width"], header["channels"])
-    expected = math.prod(shape) * 4
-    if len(payload) != expected:
-        raise ValueError(
-            f"payload is {len(payload)} bytes, header implies {expected}"
-        )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return arr.astype(np.float32, copy=False), header
+    return (header["count"], header["height"], header["width"], header["channels"])
 
 
 def manifest_path_for(container_path: str | Path) -> Path:

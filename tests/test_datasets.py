@@ -18,7 +18,7 @@ from conftest import (
     star_graph,
     write_tu_dataset,
 )
-from gpgl.augment import augment
+from gpgl.augment import AugmentedLayout, AugmentedSet, augment
 from gpgl.datasets import (
     DEGREE_CAP,
     GraphDataset,
@@ -30,8 +30,15 @@ from gpgl.datasets import (
 from gpgl.errors import DatasetParseError, MissingNodeLabelsError, WindowOverflowError
 from gpgl.graph import Graph
 from gpgl.grid import build_grid_tensor
-from gpgl.layout import LayoutParams
-from gpgl.tensor_io import read_container, read_manifest
+from gpgl.layout import GridLayout, LayoutParams
+from gpgl.tensor_io import (
+    ManifestEntry,
+    manifest_path_for,
+    read_container,
+    read_manifest,
+    write_container,
+    write_manifest,
+)
 
 
 class TestLoadTudataset:
@@ -258,7 +265,73 @@ class TestDatasetStats:
         }
 
 
+@st.composite
+def _export_case(draw):
+    """Augmented sets of small paths whose runs fail, overflow a 3x4
+    window or fit it, in any order."""
+    graphs, features, sets = [], [], []
+    for gid in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 4))
+        cell = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        layouts = []
+        for seed in range(draw(st.integers(1, 3))):
+            cells = draw(st.none() | st.lists(cell, min_size=n, max_size=n))
+            if cells is None:
+                layouts.append(AugmentedLayout(seed, None, None, "NonFiniteLossError: drawn"))
+            else:
+                cells = np.array(cells)
+                layouts.append(AugmentedLayout(seed, GridLayout(cells - cells.min(axis=0)), None))
+        graphs.append(path_graph(n))
+        features.append(np.arange(2.0 * n).reshape(n, 2) + gid)
+        sets.append(AugmentedSet(gid, tuple(layouts)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(graphs), max_size=len(graphs)))
+    ds = GraphDataset("drawn", tuple(graphs), np.array(labels), 2, features=tuple(features))
+    return sets, ds
+
+
 class TestExportTensors:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_export_case())
+    def test_streamed_export_equals_stacked_batch(self, case):
+        sets, ds = case
+        window = (3, 4)
+        outcomes, tensors, entries, first = [], [], [], None
+        for s in sets:
+            for lay in s.layouts:
+                if lay.failed:
+                    outcomes.append((lay.seed, lay.error))
+                    continue
+                rows, cols = lay.grid.extent()
+                if rows > 3 or cols > 4:
+                    overflow = f"layout spans {rows}x{cols}, window is 3x4"
+                    first = first or f"graph {s.graph_id}: {overflow}"
+                    outcomes.append((lay.seed, f"WindowOverflowError: {overflow}"))
+                else:
+                    tensors.append(build_grid_tensor(lay.grid, ds.features[s.graph_id], window))
+                    entries.append(ManifestEntry(s.graph_id, lay.seed, int(ds.labels[s.graph_id])))
+                    outcomes.append((lay.seed, None))
+        with tempfile.TemporaryDirectory() as d:
+            out = Path(d) / "s.gt"
+            if not tensors:
+                error, match = (
+                    (ValueError, "nothing to export")
+                    if first is None
+                    else (WindowOverflowError, f"^{re.escape(first)}$")
+                )
+                with pytest.raises(error, match=match):
+                    export_tensors(sets, ds, out, window=window)
+                assert list(Path(d).iterdir()) == []
+                return
+            fitted, got = export_tensors(sets, ds, out, window=window)
+            ref = Path(d) / "ref.gt"
+            write_container(ref, np.stack(tensors))
+            write_manifest(manifest_path_for(ref), entries)
+            assert got == entries
+            assert out.read_bytes() == ref.read_bytes()
+            assert manifest_path_for(out).read_bytes() == manifest_path_for(ref).read_bytes()
+            assert [s.graph_id for s in fitted] == [s.graph_id for s in sets]
+            assert [(lay.seed, lay.error) for s in fitted for lay in s.layouts] == outcomes
+
     def test_round_trip(self, synth_dataset_dir, tmp_path):
         ds = featurize(load_tudataset(synth_dataset_dir))
         sets = [

@@ -1,10 +1,14 @@
 """Gradient checks: every backward pass against central finite differences."""
 
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgl.nn.network import MsmCnn, NetworkConfig
 from gpgl.nn.ops import (
@@ -282,6 +286,26 @@ class TestParamsAndCheckpoints:
         assert np.array_equal(loaded.get_flat_params(), model.get_flat_params())
         x = np.random.default_rng(0).normal(size=(4, 8, 8, 2)).astype(np.float32)
         assert np.array_equal(loaded.forward(x, train=False), model.forward(x, train=False))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        in_channels=st.integers(1, 4),
+        num_classes=st.integers(2, 4),
+        conv=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        fc=st.lists(st.integers(1, 5), max_size=2),
+        scales=st.integers(1, 4),
+    )
+    def test_checkpoint_round_trip_over_architectures(
+        self, in_channels, num_classes, conv, fc, scales
+    ):
+        # load checks the payload size against the architecture before it
+        # builds the network, so every architecture must load back.
+        config = NetworkConfig(conv_channels=conv, fc_sizes=fc, scales=scales)
+        model = MsmCnn(in_channels, num_classes, config)
+        with tempfile.TemporaryDirectory() as d:
+            model.save(Path(d) / "m.ckpt")
+            loaded, _ = MsmCnn.load(Path(d) / "m.ckpt")
+        assert np.array_equal(loaded.get_flat_params(), model.get_flat_params())
 
     def test_checkpoint_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"

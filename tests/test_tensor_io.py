@@ -1,14 +1,26 @@
 """Tests for the tensor container format and its sidecar manifest."""
 
+import contextlib
 import errno
+import functools
+import io
 import json
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import gpgl.tensor_io
+from conftest import path_graph
+from gpgl.augment import AugmentedLayout, AugmentedSet
+from gpgl.cli import main
+from gpgl.datasets import GraphDataset, export_tensors
+from gpgl.layout import GridLayout
 from gpgl.nn.network import MsmCnn, NetworkConfig
 from gpgl.tensor_io import (
     ManifestEntry,
@@ -36,6 +48,12 @@ class TestContainer:
         assert header["width"] == 8
         assert header["channels"] == 3
         assert header["dtype"] == "f32"
+
+    def test_empty_container_round_trip(self, tmp_path):
+        write_container(tmp_path / "z.gt", np.zeros((0, 3, 4, 2), dtype=np.float32))
+        loaded, header = read_container(tmp_path / "z.gt")
+        assert loaded.shape == (0, 3, 4, 2)
+        assert header["count"] == 0
 
     def test_write_deterministic_bytes(self, tmp_path):
         batch = np.arange(2 * 3 * 3 * 2, dtype=np.float32).reshape(2, 3, 3, 2)
@@ -71,6 +89,45 @@ class TestContainer:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_read_holds_payload_once(self, tmp_path):
+        batch = np.ones((8, 256, 256, 4), dtype=np.float32)  # 8 MiB
+        write_container(tmp_path / "big.gt", batch)
+        (loaded, _), peak = _traced(read_container, tmp_path / "big.gt")
+        assert np.array_equal(loaded, batch)
+        assert peak <= batch.nbytes + 2**20
+
+    def test_checkpoint_load_holds_weights_once(self, tmp_path):
+        # A built network holds its weights and their gradients; loading
+        # may add no more than 1 MiB to that, so the payload (2.2 MiB
+        # here) is never held beside the weights.
+        config = NetworkConfig(conv_channels=(32, 128), fc_sizes=())
+        model, built = _traced(MsmCnn, 2, 2, config)
+        model.save(tmp_path / "m.ckpt")
+        assert model.num_params * 4 > 2 * 2**20
+        (loaded, _), peak = _traced(MsmCnn.load, tmp_path / "m.ckpt")
+        assert np.array_equal(loaded.get_flat_params(), model.get_flat_params())
+        assert peak <= built + 2**20
+
+    def test_export_holds_one_tensor(self, tmp_path):
+        # 64 tensors of 64 x 64 x 8 float32: an 8 MiB container.
+        n, f = 64, 8
+        graphs = tuple(path_graph(8) for _ in range(n))
+        ds = GraphDataset(
+            name="paths",
+            graphs=graphs,
+            labels=np.arange(n) % 2,
+            class_count=2,
+            features=tuple(np.eye(8, f) for _ in graphs),
+        )
+        cells = np.stack([np.zeros(8, dtype=np.int64), np.arange(8)], axis=1)
+        sets = [
+            AugmentedSet(i, (AugmentedLayout(0, GridLayout(cells), None),)) for i in range(n)
+        ]
+        (_, entries), peak = _traced(export_tensors, sets, ds, tmp_path / "e.gt")
+        assert len(entries) == n
+        assert (tmp_path / "e.gt").stat().st_size >= 8 * 2**20
+        assert peak <= 2**20
+
     def test_rejects_wrong_rank(self, tmp_path):
         with pytest.raises(ValueError):
             write_container(tmp_path / "e.gt", np.zeros((4, 4, 1), dtype=np.float32))
@@ -102,6 +159,125 @@ class TestContainer:
         }
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="dtype"):
+            read_container(path)
+
+
+class TestStreamedWrite:
+    def test_same_bytes_as_the_batch(self, tmp_path):
+        batch = np.arange(3 * 2 * 2 * 2, dtype=np.float32).reshape(3, 2, 2, 2)
+        write_container(tmp_path / "a.gt", batch)
+        write_container(tmp_path / "b.gt", iter(list(batch)), count=3)
+        assert (tmp_path / "a.gt").read_bytes() == (tmp_path / "b.gt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "tensors, count",
+        [
+            ([], 1),
+            ([np.zeros((2, 2, 1))] * 2, 3),
+            ([np.zeros((2, 2, 1))] * 3, 2),
+            ([np.zeros((2, 2, 1)), np.zeros((2, 2, 2))], 2),
+            ([np.zeros((2, 2))], 1),
+        ],
+    )
+    def test_wrong_count_or_shape_leaves_no_file(self, tmp_path, tensors, count):
+        with pytest.raises(ValueError, match="expected"):
+            write_container(tmp_path / "s.gt", iter(tensors), count=count)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _traced(fn, *args):
+    """``(fn(*args), peak bytes allocated during the call)``."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@functools.cache
+def _valid_files() -> dict[str, bytes]:
+    """A valid container and a valid checkpoint, each over 1 MiB."""
+    with tempfile.TemporaryDirectory() as d:
+        write_container(Path(d) / "c", np.ones((4, 64, 64, 32), dtype=np.float32))
+        MsmCnn(2, 2, NetworkConfig(conv_channels=(32, 128), fc_sizes=())).save(Path(d) / "k")
+        return {".gt": (Path(d) / "c").read_bytes(), ".ckpt": (Path(d) / "k").read_bytes()}
+
+
+def _mutate(data: bytes, kind: str, at: int, tail: bytes) -> bytes:
+    header_end = data.index(b"\n")
+    i = at % header_end
+    if kind == "truncate":
+        return data[: at % len(data)]
+    if kind == "extend":
+        return data + tail
+    if kind == "high-bit":
+        return data[:i] + bytes([data[i] | 0x80]) + data[i + 1 :]
+    return data[:i] + b"\n" + data[i + 1 :]  # split the header line
+
+
+def _read_error(read, path: Path) -> str:
+    """The message of the ValueError that ``read(path)`` raises."""
+    with pytest.raises(ValueError) as info:
+        read(path)
+    return str(info.value)
+
+
+def _cli_error(path: Path) -> tuple[int, dict]:
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--tensors", str(path)])
+    return code, json.loads(stderr.getvalue())
+
+
+class TestFramedReadErrors:
+    """A damaged container or checkpoint ends in a ValueError that names
+    the file, and allocates no more than the file's size (plus 1 MiB)."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        suffix=st.sampled_from([".gt", ".ckpt"]),
+        kind=st.sampled_from(["truncate", "extend", "high-bit", "newline"]),
+        at=st.integers(min_value=0, max_value=2**31),
+        tail=st.binary(min_size=1, max_size=64),
+    )
+    @example(suffix=".gt", kind="truncate", at=0, tail=b"x")
+    @example(suffix=".ckpt", kind="extend", at=0, tail=b"x")
+    def test_damaged_file_named_in_value_error(self, suffix, kind, at, tail):
+        data = _mutate(_valid_files()[suffix], kind, at, tail)
+        read = read_container if suffix == ".gt" else MsmCnn.load
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / f"damaged{suffix}"
+            path.write_bytes(data)
+            message, peak = _traced(_read_error, read, path)
+            assert message.startswith(f"damaged{suffix}: ")
+            assert peak <= len(data) + 2**20
+            if suffix == ".gt":  # the CLI reads containers, not checkpoints
+                code, err = _cli_error(path)
+                assert code == 1
+                assert err["error"] == "ValueError"
+                assert err["message"].startswith(f"damaged{suffix}: ")
+
+    def test_header_claiming_a_trillion_tensors_allocates_nothing(self, tmp_path):
+        header = {
+            "channels": 1,
+            "count": 10**12,
+            "dtype": "f32",
+            "height": 64,
+            "order": "row-major, channel-last",
+            "width": 64,
+        }
+        path = tmp_path / "huge.gt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+        message, peak = _traced(_read_error, read_container, path)
+        assert message.startswith("huge.gt: payload is 16 bytes")
+        assert peak < 2**20
+
+    def test_header_line_is_capped(self, tmp_path):
+        path = tmp_path / "flat.gt"
+        path.write_bytes(b"{" + b" " * 2**20)
+        with pytest.raises(ValueError, match="^flat.gt: no header line in the first 65536 bytes"):
             read_container(path)
 
 

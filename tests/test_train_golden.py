@@ -3,7 +3,7 @@
 One seeded cross-validation run at ``scales=3`` with dropout on, 2 folds
 of 3 epochs, on 32x32 inputs. Each fold's test split of 12 samples is
 evaluated as one batch, so the 64-channel convolutions of inference run
-in two blocks of 8 samples, the second overlapping the first. Both folds
+in two blocks of 6 samples (``sample_blocks(12, 1024 * 576)``). Both folds
 restore an earlier epoch. The digests pin ``to_dict()`` of the result
 and the restored parameters of every fold. They were recorded
 before the convolutions stopped caching their im2col matrices, so a
